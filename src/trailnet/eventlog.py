@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Sequence, TextIO
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence, TextIO
 
 CSV_HEADER = ("case_id", "activity", "originator", "timestamp")
-TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+
+# The one timestamp shape: fixed-width fields of ASCII digits, UTC only.
+_TIMESTAMP = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
 
 
 class LogError(ValueError):
@@ -30,24 +34,37 @@ class LogParseError(LogError):
 
 
 def parse_timestamp(text: str) -> datetime:
-    """Parse an ISO-8601 ``YYYY-MM-DDThh:mm:ssZ`` instant (UTC, second precision)."""
-    try:
-        naive = datetime.strptime(text, TIMESTAMP_FORMAT)
-    except ValueError:
-        raise LogError(f"bad timestamp {text!r}, expected YYYY-MM-DDThh:mm:ssZ") from None
-    return naive.replace(tzinfo=timezone.utc)
+    """Parse an ISO-8601 ``YYYY-MM-DDThh:mm:ssZ`` instant (UTC, second precision).
+
+    Only that exact shape is accepted: every field zero-padded to its
+    width and written in ASCII digits.
+    """
+    match = _TIMESTAMP.fullmatch(text)
+    if match is not None:
+        year, month, day, hour, minute, second = match.groups()
+        try:
+            return datetime(
+                int(year), int(month), int(day), int(hour), int(minute), int(second),
+                tzinfo=timezone.utc,
+            )
+        except ValueError:  # a field out of range, e.g. month 13 or February 30
+            pass
+    raise LogError(f"bad timestamp {text!r}, expected YYYY-MM-DDThh:mm:ssZ")
 
 
 def format_timestamp(instant: datetime) -> str:
     """Render a timestamp in the interchange format, converting to UTC."""
-    return _normalize_timestamp(instant).strftime(TIMESTAMP_FORMAT)
+    t = _normalize_timestamp(instant)
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (t.year, t.month, t.day, t.hour, t.minute, t.second)
 
 
 def _normalize_timestamp(instant: datetime) -> datetime:
-    # Naive datetimes are taken to already be UTC.
-    if instant.tzinfo is None:
-        instant = instant.replace(tzinfo=timezone.utc)
-    instant = instant.astimezone(timezone.utc)
+    if instant.tzinfo is not timezone.utc:
+        # Naive datetimes are taken to already be UTC.
+        if instant.tzinfo is None:
+            instant = instant.replace(tzinfo=timezone.utc)
+        else:
+            instant = instant.astimezone(timezone.utc)
     if instant.microsecond != 0:
         raise LogError(f"timestamp {instant.isoformat()} has sub-second precision")
     return instant
@@ -85,20 +102,23 @@ class Trace:
     events: tuple[Event, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        if not self.events:
+        events = tuple(self.events)
+        object.__setattr__(self, "events", events)
+        if not events:
             raise LogError(f"case {self.case_id!r} has no events")
-        for event in self.events:
-            if event.case_id != self.case_id:
-                raise LogError(
-                    f"event of case {event.case_id!r} placed in case {self.case_id!r}"
-                )
-        stamps = [e.timestamp for e in self.events]
-        if any(s is not None for s in stamps):
-            if any(s is None for s in stamps):
-                raise LogError(f"case {self.case_id!r} mixes timestamped and untimestamped events")
-            if any(a > b for a, b in zip(stamps, stamps[1:])):
-                raise LogError(f"case {self.case_id!r} events are not in timestamp order")
+        # One pass over the events; the first violation along the sequence is reported.
+        case_id = self.case_id
+        previous = events[0].timestamp
+        stamped = previous is not None
+        for event in events:
+            if event.case_id != case_id:
+                raise LogError(f"event of case {event.case_id!r} placed in case {case_id!r}")
+            stamp = event.timestamp
+            if (stamp is not None) is not stamped:
+                raise LogError(f"case {case_id!r} mixes timestamped and untimestamped events")
+            if stamped and stamp < previous:
+                raise LogError(f"case {case_id!r} events are not in timestamp order")
+            previous = stamp
 
     @property
     def activities(self) -> tuple[str, ...]:
@@ -119,9 +139,10 @@ class EventLog:
                 raise LogError(f"duplicate case_id {trace.case_id!r}")
             seen.add(trace.case_id)
 
-    @property
+    @cached_property
     def alphabet(self) -> frozenset[str]:
-        return alphabet(self)
+        """The set of activity names occurring in at least one trace."""
+        return frozenset(e.activity for t in self.traces for e in t.events)
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -129,7 +150,7 @@ class EventLog:
 
 def alphabet(log: EventLog) -> frozenset[str]:
     """The set of activity names occurring in at least one trace."""
-    return frozenset(e.activity for t in log.traces for e in t.events)
+    return log.alphabet
 
 
 def simplify(log: EventLog) -> list[tuple[str, ...]]:
@@ -151,6 +172,14 @@ def log_from_sequences(
     return EventLog(tuple(traces))
 
 
+def _rows(reader) -> Iterator[list[str]]:
+    # Malformed CSV (an over-long field, say) is a parse error like any other.
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise LogParseError(str(exc), reader.line_num) from None
+
+
 def parse_csv_log(source: str | TextIO) -> EventLog:
     """Parse the CSV interchange format into an :class:`EventLog`.
 
@@ -161,15 +190,15 @@ def parse_csv_log(source: str | TextIO) -> EventLog:
     """
     text = source.read() if hasattr(source, "read") else source
     reader = csv.reader(io.StringIO(text.lstrip("﻿"), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise LogParseError("missing header row") from None
+    rows = _rows(reader)
+    header = next(rows, None)
+    if header is None:
+        raise LogParseError("missing header row")
     if tuple(header) != CSV_HEADER:
         raise LogParseError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}", 1)
 
     cases: dict[str, list[tuple[Event, int]]] = {}
-    for row in reader:
+    for row in rows:
         line = reader.line_num
         if not row:
             continue

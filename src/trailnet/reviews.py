@@ -258,6 +258,8 @@ def parse_records_jsonl(text: str) -> list[ReviewRecord]:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise RecordParseError(f"invalid JSON: {exc.msg}", line_no) from None
+        except RecursionError:
+            raise RecordParseError("invalid JSON: nested too deeply", line_no) from None
         if not isinstance(payload, dict):
             raise RecordParseError("record is not a JSON object", line_no)
         missing = [f for f in _REQUIRED_FIELDS if f not in payload]

@@ -269,6 +269,45 @@ class TestErrors:
         assert code == 1
         assert _stderr_payload(capsys)["code"] == 1
 
+    def test_unpadded_timestamp_is_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            _record_line("X", "r1", "2012-05-03T12:00:00Z") + "\n" + _record_line("X", "r2", "2012-5-3T8:0:0Z") + "\n",
+            encoding="utf-8",
+        )
+        code = main(["build-log", "--input", str(bad), "--output", str(tmp_path / "o"), "--strategy", "artifact"])
+        assert code == 1
+        payload = _stderr_payload(capsys)
+        assert payload["code"] == 1
+        assert payload["error"].startswith("line 2: bad timestamp")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-log", "--strategy", "artifact"],
+            ["social", "--relation", "review"],
+        ],
+    )
+    def test_deeply_nested_record_is_io_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(_record_line("X", "r1", "2012-05-03T12:00:00Z") + "\n" + "[" * 100_000 + "\n", encoding="utf-8")
+        code = main(argv + ["--input", str(bad), "--output", str(tmp_path / "o")])
+        assert code == 1
+        payload = _stderr_payload(capsys)
+        assert payload["code"] == 1
+        assert payload["error"].startswith("line 2: ")
+
+    @pytest.mark.parametrize("command", ["footprint", "mine"])
+    def test_overlong_csv_field_is_io_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("case_id,activity,originator,timestamp\n1,A,,\n1," + "x" * 131_073 + ",,\n", encoding="utf-8")
+        code = main([command, "--input", str(bad), "--output", str(tmp_path / "o")])
+        assert code == 1
+        payload = _stderr_payload(capsys)
+        assert payload["code"] == 1
+        assert payload["error"].startswith("line 3: field larger than field limit")
+
     def test_lone_from_is_config_error(self, records_path, tmp_path, capsys):
         code = main(
             [

@@ -3,7 +3,7 @@ from __future__ import annotations
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from trailnet.eventlog import (
     Event,
@@ -60,14 +60,74 @@ def event_logs(draw):
     return EventLog(tuple(traces))
 
 
+# Fixed-width timestamp text: every field zero-padded ASCII digits, drawn
+# either within one past its valid range or anywhere in its width.
+def _stamps(*highs):
+    fields = [
+        st.integers(0, high).map(lambda n, width=width: str(n).zfill(width))
+        for high, width in zip(highs, (4, 2, 2, 2, 2, 2))
+    ]
+    return st.tuples(*fields).map(lambda f: "%s-%s-%sT%s:%s:%sZ" % f)
+
+
+_fixed_width_stamps = st.one_of(_stamps(9999, 13, 32, 24, 60, 60), _stamps(9999, 99, 99, 99, 99, 99))
+_utc_seconds = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)).map(
+    lambda d: d.replace(microsecond=0, tzinfo=UTC)
+)
+
+
 class TestTimestamps:
     def test_parse_and_format_round_trip(self):
         assert format_timestamp(parse_timestamp("2012-05-03T10:20:30Z")) == "2012-05-03T10:20:30Z"
 
     def test_parse_rejects_other_shapes(self):
-        for bad in ["2012-05-03 10:20:30", "2012-05-03T10:20:30", "2012-05-03T10:20:30+02:00", "nope"]:
+        for bad in [
+            "2012-05-03 10:20:30",
+            "2012-05-03T10:20:30",
+            "2012-05-03T10:20:30+02:00",
+            "nope",
+            "2012-5-3T8:0:0Z",  # fields not zero-padded
+            "999-01-01T00:00:00Z",  # three-digit year
+            "2012-05- 3T10:20:30Z",  # space-padded day
+            "2012-05-03t10:20:30z",  # lower-case separators
+            "٢٠١٢-٠٥-٠٣T١٠:٢٠:٣٠Z",  # Arabic-Indic digits
+            "２０１２-05-03T10:20:30Z",  # full-width digits
+            "2012-05-03T10:20:30Z\n",
+            "2012-13-03T10:20:30Z",  # month out of range
+            "2011-02-29T10:20:30Z",  # not a leap year
+            "2012-05-03T10:20:60Z",  # leap second
+        ]:
             with pytest.raises(LogError):
                 parse_timestamp(bad)
+
+    def test_aware_datetimes_convert_to_utc(self):
+        plus_two = timezone(timedelta(hours=2))
+        event = Event("c", "a", timestamp=datetime(2020, 1, 1, 12, 0, 0, tzinfo=plus_two))
+        assert event.timestamp == datetime(2020, 1, 1, 10, 0, 0, tzinfo=UTC)
+        assert event.timestamp.tzinfo is UTC
+        assert format_timestamp(datetime(2020, 1, 1, 1, 0, 0, tzinfo=plus_two)) == "2019-12-31T23:00:00Z"
+
+    @given(_utc_seconds)
+    def test_format_then_parse_is_identity(self, instant):
+        text = format_timestamp(instant)
+        assert len(text) == 20
+        assert parse_timestamp(text) == instant
+        assert parse_timestamp(text).tzinfo is UTC
+
+    @given(_fixed_width_stamps)
+    @example("2012-02-29T23:59:59Z")
+    @example("2011-02-29T00:00:00Z")
+    @example("2012-04-31T00:00:00Z")
+    @example("2012-05-03T24:00:00Z")
+    @example("0000-01-01T00:00:00Z")
+    def test_parse_agrees_with_strptime(self, text):
+        try:
+            expected = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=UTC)
+        except ValueError:
+            with pytest.raises(LogError):
+                parse_timestamp(text)
+        else:
+            assert parse_timestamp(text) == expected
 
     def test_naive_datetimes_count_as_utc(self):
         event = Event("c", "a", timestamp=datetime(2020, 1, 1, 12, 0, 0))
@@ -105,6 +165,12 @@ class TestInvariants:
     def test_trace_rejects_mixed_timestamp_presence(self):
         events = (Event("c", "a", timestamp=datetime(2020, 1, 1, tzinfo=UTC)), Event("c", "b"))
         with pytest.raises(LogError):
+            Trace("c", events)
+
+    def test_trace_reports_first_violation_along_the_sequence(self):
+        t0 = datetime(2020, 1, 1, tzinfo=UTC)
+        events = (Event("c", "a", timestamp=t0), Event("c", "b"), Event("other", "x"))
+        with pytest.raises(LogError, match="mixes"):
             Trace("c", events)
 
     def test_log_rejects_duplicate_case_ids(self):
@@ -173,6 +239,8 @@ class TestParse:
             (",A,,", 2),
             ("1,,,", 2),
             ("1,A,,not-a-time", 2),
+            ("1,A,,2012-5-3T8:0:0Z", 2),
+            pytest.param("1,A,,\n1," + "x" * 131_073 + ",,", 3, id="overlong-field"),
         ],
     )
     def test_bad_rows_report_line_numbers(self, row, line):
@@ -203,6 +271,14 @@ class TestSerialize:
         log = EventLog((Trace("c,1", (event,)),))
         assert parse_csv_log(serialize_csv_log(log)) == log
 
+    @pytest.mark.parametrize("year", [1, 999])
+    def test_early_years_round_trip(self, year):
+        event = Event("c", "a", timestamp=datetime(year, 6, 7, 8, 9, 10, tzinfo=UTC))
+        log = EventLog((Trace("c", (event,)),))
+        text = serialize_csv_log(log)
+        assert f"{year:04d}-06-07T08:09:10Z" in text
+        assert parse_csv_log(text) == log
+
     @given(event_logs())
     def test_round_trip_identity(self, log):
         text = serialize_csv_log(log)
@@ -226,6 +302,10 @@ class TestViews:
 
     def test_alphabet_empty_log(self):
         assert alphabet(EventLog(())) == frozenset()
+
+    def test_alphabet_computed_once_per_log(self, sample_log):
+        assert sample_log.alphabet is sample_log.alphabet
+        assert alphabet(sample_log) is sample_log.alphabet
 
     def test_alphabet_collapses_duplicates(self):
         assert alphabet(log_from_sequences(["AA"])) == frozenset("A")

@@ -304,6 +304,8 @@ class TestJsonl:
             ('{"artifact_id": "X", "submitter": "s", "reviewer": "r", "comment": 5, "timestamp": "2012-05-03T12:00:00Z"}', 1),
             ('{"artifact_id": "X", "submitter": "s", "reviewer": "r", "comment": "c", "timestamp": "yesterday"}', 1),
             ('{"artifact_id": "X", "submitter": "s", "reviewer": "", "comment": "c", "timestamp": "2012-05-03T12:00:00Z"}', 1),
+            ('{"artifact_id": "X", "submitter": "s", "reviewer": "r", "comment": "c", "timestamp": "2012-5-3T12:0:0Z"}', 1),
+            pytest.param("[" * 100_000, 1, id="deeply-nested"),
         ],
     )
     def test_errors_carry_line_numbers(self, line, lineno):
