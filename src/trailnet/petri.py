@@ -136,9 +136,10 @@ def replay(net: WorkflowNet, trace: Sequence[str]) -> ReplayResult:
     """Fire the trace from {source: 1}, force-creating tokens instead of aborting.
 
     ``consumed_missing`` counts tokens created out of thin air to let a
-    transition fire; ``produced_remaining`` counts tokens left outside the
-    sink afterwards. The trace fits only when neither happened and the
-    final marking is exactly one token on the sink.
+    transition fire; ``produced_remaining`` counts tokens left afterwards
+    outside the sink, plus every sink token beyond the first. The trace
+    fits only when neither happened and the final marking is exactly one
+    token on the sink.
     """
     for activity in trace:
         if activity not in net.transitions:
@@ -155,7 +156,8 @@ def replay(net: WorkflowNet, trace: Sequence[str]) -> ReplayResult:
                 missing += 1
         for place in net.outputs(activity):
             marking[place] = marking.get(place, 0) + 1
-    remaining = sum(n for p, n in marking.items() if p != net.sink)
+    # Every token is left over except one on the sink.
+    remaining = sum(marking.values()) - min(marking.get(net.sink, 0), 1)
     fits = missing == 0 and remaining == 0 and marking == {net.sink: 1}
     return ReplayResult(fits, missing, remaining, tuple(trace))
 
@@ -209,6 +211,7 @@ def isomorphic(a: WorkflowNet, b: WorkflowNet) -> bool:
 
 
 def _quote(name: str) -> str:
+    """A double-quoted Graphviz ID."""
     return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
 
 
@@ -247,14 +250,25 @@ def net_from_json(text: str) -> WorkflowNet:
     required = {"places", "transitions", "arcs", "source", "sink"}
     if not isinstance(payload, dict) or not required.issubset(payload):
         raise NetStructureError(f"net JSON must carry keys {sorted(required)}")
-    try:
-        arcs = frozenset((tail, head) for tail, head in payload["arcs"])
-    except (TypeError, ValueError):
-        raise NetStructureError("net JSON arcs must be [from, to] pairs") from None
+    for key in ("places", "transitions"):
+        if not _is_string_list(payload[key]):
+            raise NetStructureError(f"net JSON {key} must be a list of strings")
+    for key in ("source", "sink"):
+        if not isinstance(payload[key], str):
+            raise NetStructureError(f"net JSON {key} must be a string")
+    arcs = payload["arcs"]
+    if not isinstance(arcs, list) or not all(
+        _is_string_list(arc) and len(arc) == 2 for arc in arcs
+    ):
+        raise NetStructureError("net JSON arcs must be [from, to] pairs of strings")
     return WorkflowNet(
         places=frozenset(payload["places"]),
         transitions=frozenset(payload["transitions"]),
-        arcs=arcs,
+        arcs=frozenset(tuple(arc) for arc in arcs),
         source=payload["source"],
         sink=payload["sink"],
     )
+
+
+def _is_string_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)

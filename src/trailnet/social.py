@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .eventlog import EventLog, LogError
+from .petri import _is_string_list, _quote
 from .reviews import ReviewRecord
 
 
@@ -64,10 +65,6 @@ def review_relation(records: Iterable[ReviewRecord]) -> SocialGraph:
     return SocialGraph(frozenset(nodes), dict(edges))
 
 
-def _quote(name: str) -> str:
-    return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def graph_to_dot(graph: SocialGraph) -> str:
     """Graphviz digraph with weight-labelled edges, deterministic order."""
     lines = ["digraph social {"]
@@ -96,8 +93,23 @@ def graph_from_json(text: str) -> SocialGraph:
         raise ValueError(f"invalid social graph JSON: {exc}") from None
     if not isinstance(payload, dict) or not {"nodes", "edges"} <= set(payload):
         raise ValueError("social graph JSON must carry keys nodes and edges")
-    try:
-        edges = {(tail, head): weight for tail, head, weight in payload["edges"]}
-    except (TypeError, ValueError):
-        raise ValueError("social graph JSON edges must be [from, to, weight] triples") from None
-    return SocialGraph(frozenset(payload["nodes"]), edges)
+    nodes = payload["nodes"]
+    if not _is_string_list(nodes):
+        raise ValueError("social graph JSON nodes must be a list of strings")
+    edges = payload["edges"]
+    if not isinstance(edges, list) or not all(_is_edge(edge) for edge in edges):
+        raise ValueError(
+            "social graph JSON edges must be [from, to, weight] triples"
+            " of two strings and an integer"
+        )
+    return SocialGraph(frozenset(nodes), {(tail, head): weight for tail, head, weight in edges})
+
+
+def _is_edge(edge: object) -> bool:
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass.
+    return (
+        isinstance(edge, list)
+        and len(edge) == 3
+        and _is_string_list(edge[:2])
+        and type(edge[2]) is int
+    )

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trailnet.alpha import (
     SINK_PLACE,
@@ -50,6 +52,45 @@ SAMPLE_Y = _pairs(("A", "BE"), ("A", "CE"), ("BE", "D"), ("CE", "D"))
 _small_logs = st.lists(
     st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=8), min_size=1, max_size=12
 ).map(log_from_sequences)
+
+# Names the JSON encoder must escape: quote, backslash, non-ASCII (also
+# outside the BMP), control characters, and text that looks like JSON layout.
+_ODD_NAMES = ["A", 'q"x', "b\\s", "\u00e9t\u00e9", "\U0001f600", "\x01c", "\t", '],\n  ["', " "]
+
+_odd_logs = st.lists(
+    st.lists(st.sampled_from(_ODD_NAMES), min_size=1, max_size=8), min_size=1, max_size=12
+).map(log_from_sequences)
+
+
+def _mine_quietly(log):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DanglingActivityWarning)
+        return alpha(log)
+
+
+def _reference_json(intermediates):
+    """The rendering as the indenting encoder gives it for the whole payload."""
+
+    def pairs(items):
+        return sorted(
+            [[sorted(a), sorted(b)] for a, b in items],
+            key=lambda pair: (tuple(pair[0]), tuple(pair[1])),
+        )
+
+    payload = {
+        "T_W": sorted(intermediates.t_w),
+        "T_I": sorted(intermediates.t_i),
+        "T_O": sorted(intermediates.t_o),
+        "X_W": pairs(intermediates.x_w),
+        "Y_W": pairs(intermediates.y_w),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _complete_bipartite_log(side):
+    sources = [f"s{i}" for i in range(side)]
+    targets = [f"t{i}" for i in range(side)]
+    return log_from_sequences([[a, b] for a in sources for b in targets])
 
 
 class TestBoundaryTasks:
@@ -219,6 +260,23 @@ class TestAlpha:
 
     @settings(deadline=None)
     @given(_small_logs)
+    # Reaches a clique search state whose clique can still be extended.
+    @example(log_from_sequences(["CEDBC", "CDF", "EDBAEF"]))
+    def test_pair_sets_match_brute_force(self, log):
+        _, intermediates = _mine_quietly(log)
+        everything = brute_force_candidate_pairs(footprint(log))
+        assert intermediates.x_w == everything
+        assert intermediates.y_w == brute_force_maximal(everything)
+
+    def test_complete_bipartite_pair_sets(self):
+        _, intermediates = alpha(_complete_bipartite_log(8))
+        assert len(intermediates.x_w) == (2**8 - 1) ** 2 == 65_025
+        assert intermediates.y_w == _pairs(
+            ({f"s{i}" for i in range(8)}, {f"t{i}" for i in range(8)})
+        )
+
+    @settings(deadline=None)
+    @given(_small_logs)
     def test_mined_places_are_properly_wired(self, log):
         import warnings as _warnings
 
@@ -272,3 +330,19 @@ class TestIntermediatesJson:
     def test_ends_with_newline(self, sample_log):
         _, intermediates = alpha(sample_log)
         assert intermediates_to_json(intermediates).endswith("\n")
+
+    @settings(deadline=None)
+    @given(st.one_of(_small_logs, _odd_logs))
+    def test_matches_indenting_encoder(self, log):
+        _, intermediates = _mine_quietly(log)
+        assert intermediates_to_json(intermediates) == _reference_json(intermediates)
+
+    def test_matches_indenting_encoder_on_complete_bipartite_log(self):
+        _, intermediates = alpha(_complete_bipartite_log(8))
+        # Digests, so that a failure does not diff two 10 MB strings.
+        got, want = intermediates_to_json(intermediates), _reference_json(intermediates)
+        assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+
+    def test_matches_indenting_encoder_on_empty_sets(self):
+        empty = AlphaIntermediates(frozenset(), frozenset(), frozenset(), frozenset(), frozenset())
+        assert intermediates_to_json(empty) == _reference_json(empty)

@@ -348,6 +348,52 @@ class TestErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "export"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("places", [["i"], "o"]),
+            ("places", "io"),
+            ("transitions", "a"),
+            ("arcs", ["ia", "ao"]),
+            ("arcs", [["i", 1], ["a", "o"]]),
+            ("source", ["i"]),
+        ],
+    )
+    def test_mistyped_net_field_is_io_error(self, tmp_path, capsys, command, field, value):
+        net = {
+            "places": ["i", "o"],
+            "transitions": ["a"],
+            "arcs": [["i", "a"], ["a", "o"]],
+            "source": "i",
+            "sink": "o",
+        }
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({**net, field: value}), encoding="utf-8")
+        argv = [command, "--input", str(path), "--output", str(tmp_path / "out")]
+        if command == "export":
+            argv += ["--format", "dot"]
+        assert main(argv) == 1
+        assert _stderr_payload(capsys)["code"] == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nodes", "ab"),
+            ("edges", [["a", "b", "x"]]),
+            ("edges", [["a", "b", True]]),
+            ("edges", [["a", "b", 1.5]]),
+            ("edges", [["a", ["b"], 1]]),
+        ],
+    )
+    def test_mistyped_graph_field_is_io_error(self, tmp_path, capsys, field, value):
+        graph = {"nodes": ["a", "b"], "edges": [["a", "b", 1]]}
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({**graph, field: value}), encoding="utf-8")
+        argv = ["export", "--input", str(path), "--output", str(tmp_path / "out"), "--format", "json"]
+        assert main(argv) == 1
+        assert _stderr_payload(capsys)["code"] == 1
+
     def test_missing_subcommand_is_config_error(self, capsys):
         assert main([]) == 2
 

@@ -173,6 +173,22 @@ class TestReplay:
         with pytest.raises(KeyError):
             replay(sample_net, ("A", "Z"))
 
+    def test_extra_sink_tokens_count_as_remaining(self):
+        # a splits into p1 and p2, and both branches end in the sink.
+        net = WorkflowNet(
+            places=frozenset({"i", "p1", "p2", "o"}),
+            transitions=frozenset({"a", "b", "c"}),
+            arcs=frozenset(
+                {("i", "a"), ("a", "p1"), ("a", "p2"), ("p1", "b"), ("b", "o"), ("p2", "c"), ("c", "o")}
+            ),
+            source="i",
+            sink="o",
+        )
+        result = replay(net, ("a", "b", "c"))
+        assert not result.fits
+        assert result.consumed_missing == 0
+        assert result.produced_remaining == 1
+
     def test_empty_trace_leaves_source_token(self, sample_net):
         result = replay(sample_net, ())
         assert not result.fits
@@ -321,6 +337,11 @@ class TestSerialization:
             "not json",
             "{}",
             '{"places": [], "transitions": [], "arcs": [["a"]], "source": "i", "sink": "o"}',
+            '{"places": [["i"], "o"], "transitions": [], "arcs": [], "source": "i", "sink": "o"}',
+            '{"places": "io", "transitions": [], "arcs": [], "source": "i", "sink": "o"}',
+            '{"places": ["i", "o"], "transitions": "a", "arcs": [], "source": "i", "sink": "o"}',
+            '{"places": ["i", "o"], "transitions": ["a"], "arcs": ["ia", "ao"], "source": "i", "sink": "o"}',
+            '{"places": ["i", "o"], "transitions": [], "arcs": [], "source": ["i"], "sink": "o"}',
         ],
     )
     def test_bad_json_rejected(self, text):

@@ -162,7 +162,19 @@ class TestSerialization:
         assert graph_to_json(graph) == graph_to_json(graph)
         assert graph_to_dot(graph) == graph_to_dot(graph)
 
-    @pytest.mark.parametrize("text", ["nope", "{}", '{"nodes": [], "edges": [["a", "b"]]}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "nope",
+            "{}",
+            '{"nodes": [], "edges": [["a", "b"]]}',
+            '{"nodes": ["a", "b"], "edges": [["a", "b", "x"]]}',
+            '{"nodes": ["a", "b"], "edges": [["a", "b", true]]}',
+            '{"nodes": ["a", "b"], "edges": [["a", "b", 1.5]]}',
+            '{"nodes": "ab", "edges": []}',
+            '{"nodes": ["a", "b"], "edges": [["a", ["b"], 1]]}',
+        ],
+    )
     def test_bad_json_rejected(self, text):
         with pytest.raises(ValueError):
             graph_from_json(text)
