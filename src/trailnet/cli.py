@@ -18,7 +18,13 @@ from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Sequence
 
-from .alpha import DEFAULT_ALPHABET_LIMIT, AlphabetLimitError, alpha, intermediates_to_json
+from .alpha import (
+    DEFAULT_ALPHABET_LIMIT,
+    AlphabetLimitError,
+    _json_list,
+    alpha,
+    intermediates_to_json,
+)
 from .eventlog import LogError, parse_csv_log, parse_timestamp, serialize_csv_log
 from .petri import generate_traces, net_from_json, to_dot, to_json
 from .relations import footprint, footprint_to_csv
@@ -219,14 +225,23 @@ def _cmd_social(cfg: RunConfig) -> None:
 def _cmd_simulate(cfg: RunConfig) -> None:
     net = net_from_json(cfg.input_path.read_text(encoding="utf-8"))
     result = generate_traces(net, *cfg.bounds)
-    payload = {"complete": result.complete, "traces": sorted(list(t) for t in result.traces)}
-    _write(cfg.output_path, json.dumps(payload, indent=2) + "\n")
+    # The text of json.dumps(payload, indent=2) for the payload
+    # {"complete": ..., "traces": sorted traces}, joined from per-activity
+    # pieces: the indenting encoder is pure Python and a trace language can
+    # run to tens of thousands of traces.
+    text = {t: json.dumps(t) for t in net.transitions}
+    traces = [_json_list([text[t] for t in trace], "    ") for trace in sorted(result.traces)]
+    fields = f'  "complete": {json.dumps(result.complete)},\n  "traces": {_json_list(traces, "  ")}'
+    _write(cfg.output_path, "{\n" + fields + "\n}\n")
 
 
 def _cmd_export(cfg: RunConfig) -> None:
     text = cfg.input_path.read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except RecursionError:
+            raise LogError("invalid JSON: nested too deeply") from None
         if isinstance(payload, dict) and "places" in payload:
             net = net_from_json(text)
             renderers = {"dot": to_dot, "json": to_json}

@@ -165,36 +165,70 @@ def replay(net: WorkflowNet, trace: Sequence[str]) -> ReplayResult:
 def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> TraceGenerationResult:
     """All complete firing sequences (ending at exactly {sink: 1}) within bounds.
 
-    Depth-first, cutting each branch at ``max_length`` firings and the
-    whole search at ``max_traces`` collected sequences; either cut marks
-    the result incomplete. An empty but complete result means the net
-    truly has no complete firing sequence.
+    Depth-first in lexicographic order, cutting each branch at
+    ``max_length`` firings and the whole search at ``max_traces`` collected
+    sequences; either cut marks the result incomplete. Under the
+    ``max_traces`` cut the kept sequences are the lexicographically
+    smallest complete ones. An empty but complete result means the net
+    truly has no complete firing sequence. A final marking is never
+    expanded, and the length cut counts only where a transition is enabled.
+
+    Markings are tuples of token counts over the sorted places, and each
+    distinct marking computes its successors once. The cost therefore
+    scales with the distinct reachable markings plus the size of the
+    output: what is left per explored prefix is a table lookup and a push,
+    and without dead ends every prefix is part of some output sequence.
     """
     if max_length < 0 or max_traces < 0:
         raise ValueError("bounds must be non-negative")
-    final = {net.sink: 1}
-    found: set[tuple[str, ...]] = set()
+    places = sorted(net.places)
+    index = {place: i for i, place in enumerate(places)}
+    # Reverse-sorted, so that pushing children in this order pops the
+    # lexicographically smallest sequence first.
+    moves = [
+        (t, [index[p] for p in net.inputs(t)], [index[p] for p in net.outputs(t)])
+        for t in sorted(net.transitions, reverse=True)
+    ]
+    start = tuple(int(p == net.source) for p in places)
+    final = tuple(int(p == net.sink) for p in places)
+    successors: dict[tuple[int, ...], list[tuple[str, tuple[int, ...]]]] = {}
+    found: list[tuple[str, ...]] = []
     complete = True
-    # Each stack entry is (marking, sequence); children pushed in reverse
-    # sorted order so sequences are explored lexicographically.
-    stack: list[tuple[dict[str, int], tuple[str, ...]]] = [(initial_marking(net), ())]
+    stack: list[tuple[tuple[int, ...], tuple[str, ...]]] = [(start, ())]
     while stack:
         marking, sequence = stack.pop()
         if marking == final:
             if len(found) >= max_traces:
                 complete = False
                 break
-            found.add(sequence)
+            found.append(sequence)
             continue
-        fireable = enabled(net, marking)
-        if not fireable:
+        children = successors.get(marking)
+        if children is None:
+            children = successors[marking] = _successors(marking, moves)
+        if not children:
             continue
         if len(sequence) >= max_length:
             complete = False
             continue
-        for transition in sorted(fireable, reverse=True):
-            stack.append((fire(net, marking, transition), sequence + (transition,)))
+        stack.extend([(child, sequence + (t,)) for t, child in children])
     return TraceGenerationResult(frozenset(found), complete)
+
+
+def _successors(
+    marking: tuple[int, ...], moves: list[tuple[str, list[int], list[int]]]
+) -> list[tuple[str, tuple[int, ...]]]:
+    """``(transition, marking after firing it)`` for each enabled move, in order."""
+    children = []
+    for transition, consumed, produced in moves:
+        if all(marking[p] for p in consumed):
+            child = list(marking)
+            for p in consumed:
+                child[p] -= 1
+            for p in produced:
+                child[p] += 1
+            children.append((transition, tuple(child)))
+    return children
 
 
 def _place_signatures(net: WorkflowNet) -> Counter:
@@ -247,6 +281,8 @@ def net_from_json(text: str) -> WorkflowNet:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetStructureError(f"invalid net JSON: {exc}") from None
+    except RecursionError:
+        raise NetStructureError("invalid net JSON: nested too deeply") from None
     required = {"places", "transitions", "arcs", "source", "sink"}
     if not isinstance(payload, dict) or not required.issubset(payload):
         raise NetStructureError(f"net JSON must carry keys {sorted(required)}")

@@ -91,6 +91,8 @@ def graph_from_json(text: str) -> SocialGraph:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid social graph JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("invalid social graph JSON: nested too deeply") from None
     if not isinstance(payload, dict) or not {"nodes", "edges"} <= set(payload):
         raise ValueError("social graph JSON must carry keys nodes and edges")
     nodes = payload["nodes"]
@@ -102,7 +104,12 @@ def graph_from_json(text: str) -> SocialGraph:
             "social graph JSON edges must be [from, to, weight] triples"
             " of two strings and an integer"
         )
-    return SocialGraph(frozenset(nodes), {(tail, head): weight for tail, head, weight in edges})
+    weights: dict[tuple[str, str], int] = {}
+    for tail, head, weight in edges:
+        if (tail, head) in weights:
+            raise ValueError(f"social graph JSON repeats edge {tail!r}->{head!r}")
+        weights[(tail, head)] = weight
+    return SocialGraph(frozenset(nodes), weights)
 
 
 def _is_edge(edge: object) -> bool:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 
+from trailnet.petri import TraceGenerationResult, enabled, fire, initial_marking
 from trailnet.relations import FootprintMatrix, Relation
 
 
@@ -70,3 +71,34 @@ def brute_force_maximal(pairs):
         for (a, b) in pairs
         if not any((a, b) != (a2, b2) and a <= a2 and b <= b2 for (a2, b2) in pairs)
     )
+
+
+def reference_generate_traces(net, max_length: int, max_traces: int) -> TraceGenerationResult:
+    """The token-game search over dict markings, replaying every marking
+    from its parent with the public ``enabled``/``fire``; same bounds and
+    cut rules as ``generate_traces``."""
+    if max_length < 0 or max_traces < 0:
+        raise ValueError("bounds must be non-negative")
+    final = {net.sink: 1}
+    found: set[tuple[str, ...]] = set()
+    complete = True
+    # Each stack entry is (marking, sequence); children pushed in reverse
+    # sorted order so sequences are explored lexicographically.
+    stack: list[tuple[dict[str, int], tuple[str, ...]]] = [(initial_marking(net), ())]
+    while stack:
+        marking, sequence = stack.pop()
+        if marking == final:
+            if len(found) >= max_traces:
+                complete = False
+                break
+            found.add(sequence)
+            continue
+        fireable = enabled(net, marking)
+        if not fireable:
+            continue
+        if len(sequence) >= max_length:
+            complete = False
+            continue
+        for transition in sorted(fireable, reverse=True):
+            stack.append((fire(net, marking, transition), sequence + (transition,)))
+    return TraceGenerationResult(frozenset(found), complete)

@@ -1,19 +1,27 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trailnet.alpha import alpha, intermediates_to_json
 from trailnet.cli import main
 from trailnet.eventlog import parse_csv_log
-from trailnet.petri import to_json
+from trailnet.petri import WorkflowNet, to_json
 from trailnet.relations import footprint, footprint_to_csv
 from trailnet.reviews import ByArtifact, build_log, parse_records_jsonl
 
 from .conftest import SAMPLE_CSV
+from .netgen import random_structured_net
+from .oracles import reference_generate_traces
 
 
 def _record_line(artifact, reviewer, stamp, submitter="sam", thread=None):
@@ -194,6 +202,78 @@ class TestSimulate:
             "complete": True,
             "traces": [["A", "B", "C", "D"], ["A", "C", "B", "D"], ["A", "E", "D"]],
         }
+
+
+def _renamed(net: WorkflowNet, names) -> WorkflowNet:
+    rename = dict(zip(sorted(net.transitions), names))
+    return WorkflowNet(
+        places=net.places,
+        transitions=frozenset(rename.values()),
+        arcs=frozenset((rename.get(a, a), rename.get(b, b)) for a, b in net.arcs),
+        source=net.source,
+        sink=net.sink,
+    )
+
+
+@st.composite
+def _named_nets(draw):
+    net = random_structured_net(random.Random(draw(st.integers(0, 10_000))))
+    names = draw(
+        st.lists(
+            st.text(min_size=1, max_size=6).filter(lambda name: name not in net.places),
+            min_size=len(net.transitions),
+            max_size=len(net.transitions),
+            unique=True,
+        )
+    )
+    return _renamed(net, names)
+
+
+_ODD_NAMES = ['say "hi"', "back\\slash", "caf\u00e9", "\U0001d11e clef", "\x00\x1f\x7f", '["a", 1]']
+
+
+class TestSimulateOutput:
+    """simulate writes exactly json.dumps(payload, indent=2) + newline."""
+
+    @staticmethod
+    def _check(net, max_length, max_traces):
+        result = reference_generate_traces(net, max_length, max_traces)
+        payload = {"complete": result.complete, "traces": sorted(list(t) for t in result.traces)}
+        with tempfile.TemporaryDirectory() as tmp:
+            source, out = Path(tmp, "net.json"), Path(tmp, "traces.json")
+            source.write_text(to_json(net), encoding="utf-8")
+            argv = ["simulate", "--input", str(source), "--output", str(out),
+                    "--max-length", str(max_length), "--max-traces", str(max_traces)]
+            assert main(argv) == 0
+            assert out.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        return result
+
+    @settings(deadline=None, max_examples=60)
+    @given(_named_nets(), st.integers(0, 8), st.integers(0, 20))
+    @example(_renamed(random_structured_net(random.Random(7)), _ODD_NAMES), 10, 100)
+    def test_bytes_match_indenting_encoder(self, net, max_length, max_traces):
+        self._check(net, max_length, max_traces)
+
+    def test_odd_names_in_a_cut_language(self):
+        net = _renamed(random_structured_net(random.Random(7)), _ODD_NAMES)
+        result = self._check(net, 10, 1)
+        assert not result.complete
+        assert result.traces == {('say "hi"', "back\\slash", "caf\u00e9", "\x00\x1f\x7f", '["a", 1]')}
+
+    def test_empty_complete_language(self):
+        net = WorkflowNet(
+            places=frozenset({"i", "p", "o"}),
+            transitions=frozenset({"a"}),
+            arcs=frozenset({("i", "a"), ("a", "p")}),
+            source="i",
+            sink="o",
+        )
+        result = self._check(net, 10, 10)
+        assert result.complete and not result.traces
+
+    def test_empty_incomplete_language(self):
+        result = self._check(_renamed(random_structured_net(random.Random(7)), _ODD_NAMES), 10, 0)
+        assert not result.complete and not result.traces
 
 
 class TestExport:
@@ -394,8 +474,147 @@ class TestErrors:
         assert main(argv) == 1
         assert _stderr_payload(capsys)["code"] == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "export"])
+    @pytest.mark.parametrize("key", ["places", "nodes", "other"])
+    def test_deeply_nested_json_is_io_error(self, tmp_path, capsys, command, key):
+        path = tmp_path / "deep.json"
+        path.write_text('{"%s": ' % key + "[" * 100_000, encoding="utf-8")
+        argv = [command, "--input", str(path), "--output", str(tmp_path / "out")]
+        if command == "export":
+            argv += ["--format", "json"]
+        assert main(argv) == 1
+        payload = _stderr_payload(capsys)
+        assert payload["code"] == 1
+        assert "nested too deeply" in payload["error"]
+
+    def test_repeated_graph_edge_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        path.write_text('{"nodes": ["a", "b"], "edges": [["a", "b", 1], ["a", "b", 2]]}', encoding="utf-8")
+        argv = ["export", "--input", str(path), "--output", str(tmp_path / "out"), "--format", "json"]
+        assert main(argv) == 1
+        assert _stderr_payload(capsys) == {"code": 1, "error": "social graph JSON repeats edge 'a'->'b'"}
+        assert not (tmp_path / "out").exists()
+
     def test_missing_subcommand_is_config_error(self, capsys):
         assert main([]) == 2
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _perturbed(draw, valid):
+    """A well-formed JSON object, or one with a key dropped or set to any JSON value."""
+    value = draw(valid)
+    if draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from(sorted(value)))
+        if draw(st.booleans()):
+            del value[key]
+        else:
+            value[key] = draw(_JSON)
+    return json.dumps(value)
+
+
+_PLACES = ["i", "o", "p", 'q"']
+_TRANSITIONS = ["a", "b", "\u00e9", "p"]
+_NET_TEXT = _perturbed(
+    st.fixed_dictionaries(
+        {
+            "places": st.lists(st.sampled_from(_PLACES), max_size=4).map(lambda ps: ["i", "o", *ps]),
+            "transitions": st.lists(st.sampled_from(_TRANSITIONS), max_size=4),
+            "arcs": st.lists(
+                st.sampled_from(
+                    [[p, t] for p in _PLACES for t in _TRANSITIONS] + [[t, p] for p in _PLACES for t in _TRANSITIONS]
+                ),
+                max_size=8,
+            ),
+            "source": st.sampled_from(["i", "i", "o"]),
+            "sink": st.sampled_from(["o", "o", "x"]),
+        }
+    )
+)
+_PEOPLE = st.sampled_from(["sam", "kim", "r1", 'r"2', ""])
+_GRAPH_TEXT = _perturbed(
+    st.fixed_dictionaries(
+        {
+            "nodes": st.lists(_PEOPLE, max_size=4),
+            "edges": st.lists(st.tuples(_PEOPLE, _PEOPLE, st.integers(-1, 3)).map(list), max_size=4),
+        }
+    )
+)
+_STAMPS = st.sampled_from(["2012-05-03T12:00:00Z", "2012-05-03T11:00:00Z", "2012-05-04T00:00:00Z", "2012-5-3T8:0:0Z"])
+_RECORD = st.fixed_dictionaries(
+    {
+        "artifact_id": st.sampled_from(["X", "Y"]),
+        "submitter": _PEOPLE,
+        "reviewer": _PEOPLE,
+        "comment": st.sampled_from(["ok", "revert this", ""]),
+        "timestamp": _STAMPS,
+    },
+    optional={"thread_id": st.sampled_from(["t1", "t2"]), "topic": st.sampled_from(["x", "y"])},
+)
+
+
+@st.composite
+def _lines(draw, line, header=()):
+    """Lines drawn from ``line``, sometimes with one arbitrary line among them."""
+    lines = draw(st.lists(line, max_size=8))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=8)))
+    return "\n".join([*header, *lines])
+
+
+_RECORDS_TEXT = _lines(_perturbed(_RECORD))
+_CSV_ROW = st.tuples(
+    st.sampled_from(["1", "2", "3"]),
+    st.sampled_from(["A", "B", "C", 'q"', "x,y"]),
+    st.sampled_from(["u", "v", ""]),
+    st.sampled_from(["", "", "2012-05-03T12:00:00Z", "2012-05-03T11:00:00Z", "2012-5-3T8:0:0Z"]),
+).map(lambda row: ",".join('"%s"' % cell.replace('"', '""') if '"' in cell or "," in cell else cell for cell in row))
+_CSV_TEXT = _lines(_CSV_ROW, header=["case_id,activity,originator,timestamp"])
+_INPUTS = st.one_of(
+    st.binary(max_size=64),
+    st.one_of(_NET_TEXT, _GRAPH_TEXT, _RECORDS_TEXT, _CSV_TEXT, st.text(max_size=32)).map(str.encode),
+)
+
+
+class TestContractFuzz:
+    """Every subcommand exits 0 or prints one JSON error line whose code is the exit code."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["build-log", "--strategy", s] for s in ["artifact", "thread", "topic", "commit"]),
+            ["footprint"],
+            ["mine"],
+            ["social", "--relation", "handover"],
+            ["social", "--relation", "review"],
+            ["simulate", "--max-length", "6", "--max-traces", "20"],
+            *(["export", "--format", f] for f in ["dot", "json", "csv"]),
+        ],
+        ids=" ".join,
+    )
+    @settings(deadline=None, max_examples=80)
+    @given(data=_INPUTS)
+    @example(data=b'{"places": ' + b"[" * 100_000)
+    @example(data=b'{"nodes": ["a", "b"], "edges": [["a", "b", 1], ["a", "b", 2]]}')
+    def test_exit_code_or_one_json_error_line(self, argv, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            source = Path(tmp, "input")
+            source.write_bytes(data)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv + ["--input", str(source), "--output", str(Path(tmp, "out"))])
+        if code == 0:
+            return
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["code"] == code
+        assert code in (1, 2, 3)
 
 
 class TestConsoleScript:

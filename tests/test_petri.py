@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trailnet.petri import (
     NetStructureError,
@@ -21,6 +21,7 @@ from trailnet.petri import (
 )
 
 from .netgen import random_structured_net
+from .oracles import reference_generate_traces
 
 P_BE = "p({A},{B,E})"
 P_CE = "p({A},{C,E})"
@@ -54,6 +55,30 @@ def looping_net():
 _random_nets = st.integers(0, 10_000).map(
     lambda seed: random_structured_net(random.Random(seed))
 )
+
+
+@st.composite
+def _any_small_nets(draw):
+    """Workflow nets with any arcs the shape rules allow: loops, unbounded
+    places, transitions with an empty preset or postset, dead transitions."""
+    places = ["i", "o"] + [f"p{k}" for k in range(draw(st.integers(0, 3)))]
+    transitions = [f"t{k}" for k in range(draw(st.integers(0, 4)))]
+    inputs = [(p, t) for p in places if p != "o" for t in transitions]
+    outputs = [(t, p) for t in transitions for p in places if p != "i"]
+    arcs = draw(st.sets(st.sampled_from(inputs + outputs))) if transitions else set()
+    return WorkflowNet(frozenset(places), frozenset(transitions), frozenset(arcs), "i", "o")
+
+
+def empty_preset_net():
+    # a alone completes; g needs no token and puts one on the unbounded p,
+    # h takes one off p and puts it nowhere, so g, h leads back to any marking
+    return WorkflowNet(
+        places=frozenset({"i", "p", "o"}),
+        transitions=frozenset({"a", "g", "h"}),
+        arcs=frozenset({("i", "a"), ("a", "o"), ("g", "p"), ("p", "h")}),
+        source="i",
+        sink="o",
+    )
 
 
 class TestConstruction:
@@ -236,6 +261,40 @@ class TestGenerateTraces:
         with pytest.raises(ValueError):
             generate_traces(sample_net, max_length=-1, max_traces=10)
 
+    def test_final_marking_is_not_expanded(self):
+        # {o: 1} is reached after "a" and kept; expanding it would add a, g, h
+        result = generate_traces(empty_preset_net(), max_length=3, max_traces=100)
+        assert not result.complete
+        assert result.traces == {("a",), ("g", "a", "h"), ("g", "h", "a")}
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(
+            _random_nets,
+            _any_small_nets(),
+            st.sampled_from([looping_net(), empty_preset_net(), sequence_net()]),
+        ),
+        st.integers(0, 7),
+        st.integers(0, 6),
+    )
+    @example(looping_net(), 3, 100)
+    @example(looping_net(), 10, 2)
+    @example(empty_preset_net(), 4, 100)
+    @example(empty_preset_net(), 0, 0)
+    def test_matches_reference_search(self, net, max_length, max_traces):
+        assert generate_traces(net, max_length, max_traces) == reference_generate_traces(
+            net, max_length, max_traces
+        )
+
+    @settings(deadline=None, max_examples=50)
+    @given(_random_nets, st.integers(0, 5))
+    def test_trace_cut_keeps_smallest(self, net, max_traces):
+        language = generate_traces(net, max_length=30, max_traces=50_000)
+        assert language.complete
+        cut = generate_traces(net, max_length=30, max_traces=max_traces)
+        assert cut.traces == set(sorted(language.traces)[:max_traces])
+        assert cut.complete == (max_traces >= len(language.traces))
+
     @settings(deadline=None, max_examples=50)
     @given(_random_nets)
     def test_generated_traces_all_replay(self, net):
@@ -347,6 +406,10 @@ class TestSerialization:
     def test_bad_json_rejected(self, text):
         with pytest.raises(NetStructureError):
             net_from_json(text)
+
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(NetStructureError, match="nested too deeply"):
+            net_from_json('{"places": ' + "[" * 100_000)
 
     @settings(deadline=None)
     @given(_random_nets)

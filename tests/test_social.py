@@ -173,8 +173,13 @@ class TestSerialization:
             '{"nodes": ["a", "b"], "edges": [["a", "b", 1.5]]}',
             '{"nodes": "ab", "edges": []}',
             '{"nodes": ["a", "b"], "edges": [["a", ["b"], 1]]}',
+            '{"nodes": ["a", "b"], "edges": [["a", "b", 1], ["b", "a", 1], ["a", "b", 2]]}',
         ],
     )
     def test_bad_json_rejected(self, text):
         with pytest.raises(ValueError):
             graph_from_json(text)
+
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            graph_from_json('{"nodes": ' + "[" * 100_000)
