@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 from .eventlog import EventLog
-from .relations import FootprintMatrix, Relation, footprint
+from .relations import FootprintMatrix, footprint
 from .petri import WorkflowNet
 
 SOURCE_PLACE = "i_W"
@@ -51,16 +51,16 @@ class AlphaIntermediates:
 
 def initial_tasks(log: EventLog) -> frozenset[str]:
     """First activity of each trace."""
-    if not log.traces:
+    if not log.variants:
         raise ValueError("empty log has no initial tasks")
-    return frozenset(t.events[0].activity for t in log.traces)
+    return frozenset(seq[0] for seq in log.variants)
 
 
 def final_tasks(log: EventLog) -> frozenset[str]:
     """Last activity of each trace."""
-    if not log.traces:
+    if not log.variants:
         raise ValueError("empty log has no final tasks")
-    return frozenset(t.events[-1].activity for t in log.traces)
+    return frozenset(seq[-1] for seq in log.variants)
 
 
 def _direct_maximal_pairs(matrix: FootprintMatrix) -> frozenset[CandidatePair]:
@@ -72,11 +72,12 @@ def _direct_maximal_pairs(matrix: FootprintMatrix) -> frozenset[CandidatePair]:
     causally precedes b. Its cliques with both sides non-empty are exactly
     the candidate pairs, so the maximal ones among them are Y_W. A vertex
     without a cross edge lies only in one-sided cliques and is left out.
+    Over the succession set: a is self-unrelated when (a, a) is absent,
+    a -> b when (a, b) is present and (b, a) absent, unrelated when both are.
     """
-    names = [a for a in matrix.alphabet if matrix.cells[(a, a)] is Relation.UNRELATED]
-    causal = {
-        (a, b) for a in names for b in names if matrix.cells[(a, b)] is Relation.CAUSAL_FORWARD
-    }
+    succ = matrix.succession
+    free = {a for a in matrix.alphabet if (a, a) not in succ}
+    causal = {(a, b) for a, b in succ if (b, a) not in succ and a in free and b in free}
     # The search runs on vertex indices, so its path (not only its result)
     # is the same in every run, whatever the string hash seed.
     vertices = sorted({(a, 0) for a, _ in causal} | {(b, 1) for _, b in causal})
@@ -84,7 +85,7 @@ def _direct_maximal_pairs(matrix: FootprintMatrix) -> frozenset[CandidatePair]:
     def joined(u: tuple[str, int], v: tuple[str, int]) -> bool:
         (x, x_side), (y, y_side) = u, v
         if x_side == y_side:
-            return x != y and matrix.cells[(x, y)] is Relation.UNRELATED
+            return x != y and (x, y) not in succ and (y, x) not in succ
         return ((x, y) if x_side == 0 else (y, x)) in causal
 
     adjacent = [{j for j, v in enumerate(vertices) if joined(u, v)} for u in vertices]

@@ -26,7 +26,7 @@ from .alpha import (
     intermediates_to_json,
 )
 from .eventlog import LogError, parse_csv_log, parse_timestamp, serialize_csv_log
-from .petri import generate_traces, net_from_json, to_dot, to_json
+from .petri import _net_from_payload, generate_traces, net_from_json, to_dot, to_json
 from .relations import footprint, footprint_to_csv
 from .reviews import (
     ByArtifact,
@@ -39,7 +39,14 @@ from .reviews import (
     parse_records_jsonl,
     time_window_filter,
 )
-from .social import graph_from_json, graph_to_dot, graph_to_json, handover_of_work, review_relation
+from .social import (
+    _graph_from_payload,
+    graph_from_json,
+    graph_to_dot,
+    graph_to_json,
+    handover_of_work,
+    review_relation,
+)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -169,9 +176,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
-    print(path)
+def _write(prefix: Path, texts: dict[str, str]) -> None:
+    """Write each text to ``prefix`` plus its key, printing each path. Every text is
+    encoded before any file is opened, so a failing command leaves no output behind."""
+    encoded = [(Path(f"{prefix}{suffix}"), text.encode("utf-8")) for suffix, text in texts.items()]
+    for path, data in encoded:
+        path.write_bytes(data)
+        print(path)
 
 
 def _alphabet_limit() -> int:
@@ -184,84 +195,76 @@ def _alphabet_limit() -> int:
         raise ConfigError(f"{ALPHABET_LIMIT_ENV} must be an integer, got {raw!r}") from None
 
 
-def _cmd_build_log(cfg: RunConfig) -> None:
-    records = parse_records_jsonl(cfg.input_path.read_text(encoding="utf-8"))
+def _cmd_build_log(cfg: RunConfig, text: str) -> dict[str, str]:
+    records = parse_records_jsonl(text)
     if cfg.window is not None:
         records = time_window_filter(records, *cfg.window)
-    trace_log = build_log(records, cfg.strategy, window=cfg.window, source=str(cfg.input_path))
-    _write(cfg.output_path, serialize_csv_log(trace_log.log))
-    _write(Path(str(cfg.output_path) + ".meta.json"), metadata_json(trace_log))
+    trace_log = build_log(records, cfg.strategy, window=cfg.window)
+    return {"": serialize_csv_log(trace_log.log), ".meta.json": metadata_json(trace_log)}
 
 
-def _cmd_footprint(cfg: RunConfig) -> None:
-    log = parse_csv_log(cfg.input_path.read_text(encoding="utf-8"))
-    _write(cfg.output_path, footprint_to_csv(footprint(log)))
+def _cmd_footprint(cfg: RunConfig, text: str) -> dict[str, str]:
+    return {"": footprint_to_csv(footprint(parse_csv_log(text)))}
 
 
-def _cmd_mine(cfg: RunConfig) -> None:
-    log = parse_csv_log(cfg.input_path.read_text(encoding="utf-8"))
+def _cmd_mine(cfg: RunConfig, text: str) -> dict[str, str]:
+    log = parse_csv_log(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         net, intermediates = alpha(log, alphabet_limit=_alphabet_limit())
     for warning in caught:
         print(json.dumps({"warning": str(warning.message)}), file=sys.stderr)
-    prefix = str(cfg.output_path)
-    _write(Path(prefix + ".net.json"), to_json(net))
-    _write(Path(prefix + ".net.dot"), to_dot(net))
-    _write(Path(prefix + ".alpha.json"), intermediates_to_json(intermediates))
+    return {
+        ".net.json": to_json(net),
+        ".net.dot": to_dot(net),
+        ".alpha.json": intermediates_to_json(intermediates),
+    }
 
 
-def _cmd_social(cfg: RunConfig) -> None:
-    text = cfg.input_path.read_text(encoding="utf-8")
+def _cmd_social(cfg: RunConfig, text: str) -> dict[str, str]:
     if cfg.relation == "handover":
         graph = handover_of_work(parse_csv_log(text))
     else:
         graph = review_relation(parse_records_jsonl(text))
-    prefix = str(cfg.output_path)
-    _write(Path(prefix + ".graph.json"), graph_to_json(graph))
-    _write(Path(prefix + ".graph.dot"), graph_to_dot(graph))
+    return {".graph.json": graph_to_json(graph), ".graph.dot": graph_to_dot(graph)}
 
 
-def _cmd_simulate(cfg: RunConfig) -> None:
-    net = net_from_json(cfg.input_path.read_text(encoding="utf-8"))
+def _cmd_simulate(cfg: RunConfig, text: str) -> dict[str, str]:
+    net = net_from_json(text)
     result = generate_traces(net, *cfg.bounds)
     # The text of json.dumps(payload, indent=2) for the payload
     # {"complete": ..., "traces": sorted traces}, joined from per-activity
     # pieces: the indenting encoder is pure Python and a trace language can
     # run to tens of thousands of traces.
-    text = {t: json.dumps(t) for t in net.transitions}
-    traces = [_json_list([text[t] for t in trace], "    ") for trace in sorted(result.traces)]
+    names = {t: json.dumps(t) for t in net.transitions}
+    traces = [_json_list([names[t] for t in trace], "    ") for trace in sorted(result.traces)]
     fields = f'  "complete": {json.dumps(result.complete)},\n  "traces": {_json_list(traces, "  ")}'
-    _write(cfg.output_path, "{\n" + fields + "\n}\n")
+    return {"": "{\n" + fields + "\n}\n"}
 
 
-def _cmd_export(cfg: RunConfig) -> None:
-    text = cfg.input_path.read_text(encoding="utf-8")
-    if text.lstrip().startswith("{"):
-        try:
-            payload = json.loads(text)
-        except RecursionError:
-            raise LogError("invalid JSON: nested too deeply") from None
-        if isinstance(payload, dict) and "places" in payload:
-            net = net_from_json(text)
-            renderers = {"dot": to_dot, "json": to_json}
-            artifact = "net"
-        elif isinstance(payload, dict) and "nodes" in payload:
-            graph = graph_from_json(text)
-            renderers = {"dot": graph_to_dot, "json": graph_to_json}
-            artifact = "graph"
-        else:
-            raise LogError("unrecognized JSON artifact: expected a net or a social graph")
-        if cfg.format not in renderers:
-            raise ConfigError(f"a {artifact} cannot be exported as {cfg.format}")
-        rendered = renderers[cfg.format](net if artifact == "net" else graph)
-    else:
+def _cmd_export(cfg: RunConfig, text: str) -> dict[str, str]:
+    if not text.lstrip().startswith("{"):
         if cfg.format != "csv":
             raise ConfigError(f"an event log can only be exported as csv, not {cfg.format}")
-        rendered = serialize_csv_log(parse_csv_log(text))
-    _write(cfg.output_path, rendered)
+        return {"": serialize_csv_log(parse_csv_log(text))}
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise LogError("invalid JSON: nested too deeply") from None
+    if isinstance(payload, dict) and "places" in payload:
+        artifact, value = "net", _net_from_payload(payload)
+        renderers = {"dot": to_dot, "json": to_json}
+    elif isinstance(payload, dict) and "nodes" in payload:
+        artifact, value = "graph", _graph_from_payload(payload)
+        renderers = {"dot": graph_to_dot, "json": graph_to_json}
+    else:
+        raise LogError("unrecognized JSON artifact: expected a net or a social graph")
+    if cfg.format not in renderers:
+        raise ConfigError(f"a {artifact} cannot be exported as {cfg.format}")
+    return {"": renderers[cfg.format](value)}
 
 
+# Each command turns the input text into its outputs: output-path suffix -> text.
 _HANDLERS = {
     "build-log": _cmd_build_log,
     "footprint": _cmd_footprint,
@@ -277,7 +280,8 @@ def run(cfg: RunConfig) -> int:
     try:
         if not cfg.input_path.is_file():
             raise FileNotFoundError(f"input not found: {cfg.input_path}")
-        _HANDLERS[cfg.command](cfg)
+        text = cfg.input_path.read_text(encoding="utf-8")
+        _write(cfg.output_path, _HANDLERS[cfg.command](cfg, text))
     except ConfigError as exc:
         _emit_error(EXIT_CONFIG, str(exc))
         return EXIT_CONFIG

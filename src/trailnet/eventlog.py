@@ -3,6 +3,8 @@
 A log is a sequence of cases; each case carries an ordered sequence of
 activity executions, optionally attributed to an originator and stamped
 with a UTC instant. Activity names are compared byte-exact, never folded.
+Miners read a log through one sequence view, its variant table: each
+distinct activity sequence with the number of cases that follow it.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -140,22 +143,17 @@ class EventLog:
             seen.add(trace.case_id)
 
     @cached_property
+    def variants(self) -> Counter[tuple[str, ...]]:
+        """Each distinct activity sequence, with the number of traces that follow it."""
+        return Counter(t.activities for t in self.traces)
+
+    @cached_property
     def alphabet(self) -> frozenset[str]:
         """The set of activity names occurring in at least one trace."""
-        return frozenset(e.activity for t in self.traces for e in t.events)
+        return frozenset(a for seq in self.variants for a in seq)
 
     def __len__(self) -> int:
         return len(self.traces)
-
-
-def alphabet(log: EventLog) -> frozenset[str]:
-    """The set of activity names occurring in at least one trace."""
-    return log.alphabet
-
-
-def simplify(log: EventLog) -> list[tuple[str, ...]]:
-    """One activity-name sequence per trace, in log order, duplicates kept."""
-    return [t.activities for t in log.traces]
 
 
 def log_from_sequences(

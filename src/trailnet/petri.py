@@ -61,26 +61,21 @@ class WorkflowNet:
                 raise NetStructureError("sink place has an outgoing arc")
 
     @cached_property
-    def _inputs(self) -> dict[str, frozenset[str]]:
+    def _neighbours(self) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
         ins: dict[str, set[str]] = {n: set() for n in self.places | self.transitions}
+        outs: dict[str, set[str]] = {n: set() for n in ins}
         for tail, head in self.arcs:
             ins[head].add(tail)
-        return {n: frozenset(v) for n, v in ins.items()}
-
-    @cached_property
-    def _outputs(self) -> dict[str, frozenset[str]]:
-        outs: dict[str, set[str]] = {n: set() for n in self.places | self.transitions}
-        for tail, head in self.arcs:
             outs[tail].add(head)
-        return {n: frozenset(v) for n, v in outs.items()}
+        return tuple({n: frozenset(v) for n, v in side.items()} for side in (ins, outs))
 
     def inputs(self, node: str) -> frozenset[str]:
         """Nodes with an arc into ``node``."""
-        return self._inputs[node]
+        return self._neighbours[0][node]
 
     def outputs(self, node: str) -> frozenset[str]:
         """Nodes ``node`` has an arc to."""
-        return self._outputs[node]
+        return self._neighbours[1][node]
 
 
 @dataclass(frozen=True)
@@ -135,11 +130,11 @@ def fire(net: WorkflowNet, marking: Marking, transition: str) -> dict[str, int]:
 def replay(net: WorkflowNet, trace: Sequence[str]) -> ReplayResult:
     """Fire the trace from {source: 1}, force-creating tokens instead of aborting.
 
-    ``consumed_missing`` counts tokens created out of thin air to let a
-    transition fire; ``produced_remaining`` counts tokens left afterwards
-    outside the sink, plus every sink token beyond the first. The trace
-    fits only when neither happened and the final marking is exactly one
-    token on the sink.
+    After the last firing one token is taken off the sink, the final
+    token. ``consumed_missing`` counts tokens created out of thin air to
+    let a transition, or that last consumption, go ahead;
+    ``produced_remaining`` counts the tokens left over at the end. The
+    trace fits exactly when both are zero, so every misfit has a count.
     """
     for activity in trace:
         if activity not in net.transitions:
@@ -148,18 +143,18 @@ def replay(net: WorkflowNet, trace: Sequence[str]) -> ReplayResult:
     missing = 0
     for activity in trace:
         for place in net.inputs(activity):
-            if marking.get(place, 0) >= 1:
+            if marking.get(place, 0):
                 marking[place] -= 1
-                if not marking[place]:
-                    del marking[place]
             else:
                 missing += 1
         for place in net.outputs(activity):
             marking[place] = marking.get(place, 0) + 1
-    # Every token is left over except one on the sink.
-    remaining = sum(marking.values()) - min(marking.get(net.sink, 0), 1)
-    fits = missing == 0 and remaining == 0 and marking == {net.sink: 1}
-    return ReplayResult(fits, missing, remaining, tuple(trace))
+    if marking.get(net.sink, 0):
+        marking[net.sink] -= 1
+    else:
+        missing += 1
+    remaining = sum(marking.values())
+    return ReplayResult(missing == 0 and remaining == 0, missing, remaining, tuple(trace))
 
 
 def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> TraceGenerationResult:
@@ -283,6 +278,11 @@ def net_from_json(text: str) -> WorkflowNet:
         raise NetStructureError(f"invalid net JSON: {exc}") from None
     except RecursionError:
         raise NetStructureError("invalid net JSON: nested too deeply") from None
+    return _net_from_payload(payload)
+
+
+def _net_from_payload(payload: object) -> WorkflowNet:
+    """Check the shape of a parsed net JSON value and build the net."""
     required = {"places", "transitions", "arcs", "source", "sink"}
     if not isinstance(payload, dict) or not required.issubset(payload):
         raise NetStructureError(f"net JSON must carry keys {sorted(required)}")

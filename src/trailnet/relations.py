@@ -1,9 +1,10 @@
 """Log-based ordering relations and the footprint matrix.
 
 Four relations partition every ordered activity pair (a, b) of a log:
-causal forward (a always hands over to b, never the reverse), its mirror,
+causal forward (b directly follows a, never the reverse), its mirror,
 parallel (direct succession observed in both orders), and unrelated
-(never adjacent in either order).
+(never adjacent in either order). The matrix stores only the direct
+succession pairs and reads every relation off them.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ import csv
 import enum
 import io
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
-from .eventlog import EventLog, simplify
+from .eventlog import EventLog
 
 
 class Relation(enum.Enum):
@@ -26,28 +29,36 @@ class Relation(enum.Enum):
     UNRELATED = "#"
 
 
-_MIRROR = {
-    Relation.CAUSAL_FORWARD: Relation.CAUSAL_BACKWARD,
-    Relation.CAUSAL_BACKWARD: Relation.CAUSAL_FORWARD,
-    Relation.PARALLEL: Relation.PARALLEL,
-    Relation.UNRELATED: Relation.UNRELATED,
+# (a > b, b > a) -> relation of (a, b), where > is direct succession.
+_RELATION = {
+    (True, True): Relation.PARALLEL,
+    (True, False): Relation.CAUSAL_FORWARD,
+    (False, True): Relation.CAUSAL_BACKWARD,
+    (False, False): Relation.UNRELATED,
 }
 
 
 @dataclass(frozen=True)
 class FootprintMatrix:
-    """Relation lookup over the full alphabet x alphabet grid."""
+    """An alphabet and its direct-succession pairs; relations are read off the pairs."""
 
     alphabet: tuple[str, ...]
-    cells: Mapping[tuple[str, str], Relation]
+    succession: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        expected = {(a, b) for a in self.alphabet for b in self.alphabet}
-        if set(self.cells) != expected:
-            raise ValueError("cells do not cover exactly alphabet x alphabet")
-        for (a, b), rel in self.cells.items():
-            if self.cells[(b, a)] is not _MIRROR[rel]:
-                raise ValueError(f"cells for ({a!r}, {b!r}) break mirror symmetry")
+        object.__setattr__(self, "succession", frozenset(self.succession))
+        names = set(self.alphabet)
+        for a, b in self.succession:
+            if a not in names or b not in names:
+                raise ValueError(f"succession pair ({a!r}, {b!r}) lies outside the alphabet")
+
+    @cached_property
+    def cells(self) -> Mapping[tuple[str, str], Relation]:
+        """The relation of every pair of alphabet x alphabet, built on first use."""
+        succ, names = self.succession, self.alphabet
+        return MappingProxyType(
+            {(a, b): _RELATION[(a, b) in succ, (b, a) in succ] for a in names for b in names}
+        )
 
     def relation(self, a: str, b: str) -> Relation:
         try:
@@ -60,29 +71,14 @@ class FootprintMatrix:
 def direct_succession(log: EventLog) -> frozenset[tuple[str, str]]:
     """All pairs (a, b) where b immediately follows a in some trace."""
     pairs = set()
-    for seq in simplify(log):
+    for seq in log.variants:
         pairs.update(zip(seq, seq[1:]))
     return frozenset(pairs)
 
 
 def footprint(log: EventLog) -> FootprintMatrix:
-    """Classify every ordered pair of the log's alphabet."""
-    succ = direct_succession(log)
-    names = tuple(sorted(log.alphabet))
-    cells = {}
-    for a in names:
-        for b in names:
-            forward = (a, b) in succ
-            backward = (b, a) in succ
-            if forward and backward:
-                cells[(a, b)] = Relation.PARALLEL
-            elif forward:
-                cells[(a, b)] = Relation.CAUSAL_FORWARD
-            elif backward:
-                cells[(a, b)] = Relation.CAUSAL_BACKWARD
-            else:
-                cells[(a, b)] = Relation.UNRELATED
-    return FootprintMatrix(names, cells)
+    """The footprint of the log over its sorted alphabet."""
+    return FootprintMatrix(tuple(sorted(log.alphabet)), direct_succession(log))
 
 
 def footprint_to_csv(matrix: FootprintMatrix) -> str:

@@ -119,7 +119,6 @@ class TraceLog:
     strategy: str
     record_count: int
     window: tuple[datetime, datetime] | None = None
-    source: str | None = None
 
 
 def time_window_filter(
@@ -186,7 +185,6 @@ def build_log(
     strategy: CaseStrategy,
     verb_map: Mapping[str, str] | None = None,
     window: tuple[datetime, datetime] | None = None,
-    source: str | None = None,
 ) -> TraceLog:
     """Group records into cases and emit one role-tagged event per record.
 
@@ -219,8 +217,7 @@ def build_log(
         )
         traces.append(Trace(case_id, events))
     log = EventLog(tuple(traces))
-    label = strategy.label
-    return TraceLog(log, label, len(records), window, source)
+    return TraceLog(log, strategy.label, len(records), window)
 
 
 def durations(log: TraceLog | EventLog) -> dict[str, list[timedelta]]:

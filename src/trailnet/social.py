@@ -93,6 +93,11 @@ def graph_from_json(text: str) -> SocialGraph:
         raise ValueError(f"invalid social graph JSON: {exc}") from None
     except RecursionError:
         raise ValueError("invalid social graph JSON: nested too deeply") from None
+    return _graph_from_payload(payload)
+
+
+def _graph_from_payload(payload: object) -> SocialGraph:
+    """Check the shape of a parsed social graph JSON value and build the graph."""
     if not isinstance(payload, dict) or not {"nodes", "edges"} <= set(payload):
         raise ValueError("social graph JSON must carry keys nodes and edges")
     nodes = payload["nodes"]

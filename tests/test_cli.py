@@ -495,6 +495,61 @@ class TestErrors:
         assert _stderr_payload(capsys) == {"code": 1, "error": "social graph JSON repeats edge 'a'->'b'"}
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, text, outputs",
+        [
+            (
+                ["export", "--format", "dot"],
+                json.dumps(
+                    {
+                        "places": ["i", "o"],
+                        "transitions": ["\ud800"],
+                        "arcs": [["i", "\ud800"], ["\ud800", "o"]],
+                        "source": "i",
+                        "sink": "o",
+                    }
+                ),
+                [""],
+            ),
+            (
+                ["build-log", "--strategy", "artifact"],
+                _record_line("X", "\ud800", "2012-05-03T12:00:00Z") + "\n",
+                ["", ".meta.json"],
+            ),
+            (
+                ["social", "--relation", "review"],
+                _record_line("X", "r1", "2012-05-03T12:00:00Z", submitter="\ud800") + "\n",
+                [".graph.json", ".graph.dot"],
+            ),
+        ],
+        ids=["export-dot", "build-log", "social-review"],
+    )
+    def test_unencodable_output_leaves_no_file(self, tmp_path, capsys, command, text, outputs):
+        # A lone surrogate is valid in JSON text but cannot be written as UTF-8.
+        path = tmp_path / "input"
+        path.write_text(text, encoding="utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        prefix = out_dir / "result"
+        argv = [command[0], "--input", str(path), "--output", str(prefix), *command[1:]]
+        assert main(argv) == 1
+        assert _stderr_payload(capsys)["code"] == 1
+        assert not any(Path(str(prefix) + suffix).exists() for suffix in outputs)
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"places": []}', '{"places": "io", "transitions": [], "arcs": [], "source": "i", "sink": "o"}'],
+    )
+    def test_export_reports_net_errors_as_simulate_does(self, tmp_path, capsys, text):
+        path = tmp_path / "net.json"
+        path.write_text(text, encoding="utf-8")
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--input", str(path), "--output", out]) == 1
+        simulated = _stderr_payload(capsys)
+        assert main(["export", "--input", str(path), "--output", out, "--format", "dot"]) == 1
+        assert _stderr_payload(capsys) == simulated
+
     def test_missing_subcommand_is_config_error(self, capsys):
         assert main([]) == 2
 

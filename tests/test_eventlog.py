@@ -11,13 +11,11 @@ from trailnet.eventlog import (
     LogError,
     LogParseError,
     Trace,
-    alphabet,
     format_timestamp,
     log_from_sequences,
     parse_csv_log,
     parse_timestamp,
     serialize_csv_log,
-    simplify,
 )
 
 from .conftest import SAMPLE_CSV, SAMPLE_SEQUENCES
@@ -186,15 +184,15 @@ class TestInvariants:
 class TestParse:
     def test_grouping_is_forced(self):
         log = parse_csv_log("case_id,activity,originator,timestamp\n1,A,,\n1,B,,\n2,A,,\n")
-        assert simplify(log) == [("A", "B"), ("A",)]
+        assert [t.activities for t in log.traces] == [("A", "B"), ("A",)]
 
     def test_sample_csv_parses_to_sample_sequences(self):
         log = parse_csv_log(SAMPLE_CSV)
-        assert simplify(log) == [tuple(s) for s in SAMPLE_SEQUENCES]
+        assert [t.activities for t in log.traces] == [tuple(s) for s in SAMPLE_SEQUENCES]
 
     def test_non_contiguous_cases_group_by_id(self):
         text = "case_id,activity,originator,timestamp\n1,A,,\n2,X,,\n1,B,,\n"
-        assert simplify(parse_csv_log(text)) == [("A", "B"), ("X",)]
+        assert [t.activities for t in parse_csv_log(text).traces] == [("A", "B"), ("X",)]
 
     def test_timestamps_reorder_events(self):
         text = (
@@ -202,7 +200,7 @@ class TestParse:
             "1,B,,2020-01-01T00:01:00Z\n"
             "1,A,,2020-01-01T00:00:00Z\n"
         )
-        assert simplify(parse_csv_log(text)) == [("A", "B")]
+        assert [t.activities for t in parse_csv_log(text).traces] == [("A", "B")]
 
     def test_timestamp_ties_keep_file_order(self):
         text = (
@@ -210,11 +208,11 @@ class TestParse:
             "1,X,,2020-01-01T00:00:00Z\n"
             "1,Y,,2020-01-01T00:00:00Z\n"
         )
-        assert simplify(parse_csv_log(text)) == [("X", "Y")]
+        assert [t.activities for t in parse_csv_log(text).traces] == [("X", "Y")]
 
     def test_crlf_line_endings_accepted(self):
         text = "case_id,activity,originator,timestamp\r\n1,A,,\r\n"
-        assert simplify(parse_csv_log(text)) == [("A",)]
+        assert [t.activities for t in parse_csv_log(text).traces] == [("A",)]
 
     def test_file_like_source_accepted(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -287,29 +285,40 @@ class TestSerialize:
 
 
 class TestViews:
-    def test_simplify_sample(self, sample_log):
-        assert simplify(sample_log) == [("A", "B", "C", "D"), ("A", "C", "B", "D"), ("A", "E", "D")]
+    def test_variants_sample(self, sample_log):
+        assert sample_log.variants == {
+            ("A", "B", "C", "D"): 1,
+            ("A", "C", "B", "D"): 1,
+            ("A", "E", "D"): 1,
+        }
 
-    def test_simplify_empty_log(self):
-        assert simplify(EventLog(())) == []
+    def test_variants_empty_log(self):
+        assert EventLog(()).variants == {}
 
-    def test_simplify_keeps_duplicates(self):
+    def test_variants_count_duplicates(self):
         log = log_from_sequences(["AB", "AB"])
-        assert simplify(log) == [("A", "B"), ("A", "B")]
+        assert log.variants == {("A", "B"): 2}
+
+    def test_variants_computed_once_per_log(self, sample_log):
+        assert sample_log.variants is sample_log.variants
+
+    @given(event_logs())
+    def test_variants_cover_every_trace(self, log):
+        assert sum(log.variants.values()) == len(log)
+        assert set(log.variants) == {t.activities for t in log.traces}
 
     def test_alphabet_sample(self, sample_log):
-        assert alphabet(sample_log) == frozenset("ABCDE")
+        assert sample_log.alphabet == frozenset("ABCDE")
 
     def test_alphabet_empty_log(self):
-        assert alphabet(EventLog(())) == frozenset()
+        assert EventLog(()).alphabet == frozenset()
 
     def test_alphabet_computed_once_per_log(self, sample_log):
         assert sample_log.alphabet is sample_log.alphabet
-        assert alphabet(sample_log) is sample_log.alphabet
 
     def test_alphabet_collapses_duplicates(self):
-        assert alphabet(log_from_sequences(["AA"])) == frozenset("A")
+        assert log_from_sequences(["AA"]).alphabet == frozenset("A")
 
     @given(event_logs())
-    def test_alphabet_matches_simplify_union(self, log):
-        assert alphabet(log) == frozenset(a for seq in simplify(log) for a in seq)
+    def test_alphabet_matches_trace_union(self, log):
+        assert log.alphabet == frozenset(e.activity for t in log.traces for e in t.events)

@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from trailnet.alpha import alpha
+from trailnet.eventlog import log_from_sequences
 from trailnet.petri import (
     NetStructureError,
     NotEnabledError,
@@ -67,6 +69,26 @@ def _any_small_nets(draw):
     outputs = [(t, p) for t in transitions for p in places if p != "i"]
     arcs = draw(st.sets(st.sampled_from(inputs + outputs))) if transitions else set()
     return WorkflowNet(frozenset(places), frozenset(transitions), frozenset(arcs), "i", "o")
+
+
+@st.composite
+def _nets_with_traces(draw):
+    """A structured or arbitrary small net, and any sequence of its transitions."""
+    net = draw(st.one_of(_random_nets, _any_small_nets()))
+    names = sorted(net.transitions)
+    trace = draw(st.lists(st.sampled_from(names), max_size=8)) if names else []
+    return net, tuple(trace)
+
+
+def sink_free_net():
+    # x takes the source token and puts it nowhere; y reaches the sink
+    return WorkflowNet(
+        places=frozenset({"i", "o"}),
+        transitions=frozenset({"x", "y"}),
+        arcs=frozenset({("i", "x"), ("i", "y"), ("y", "o")}),
+        source="i",
+        sink="o",
+    )
 
 
 def empty_preset_net():
@@ -191,8 +213,17 @@ class TestReplay:
     def test_stopping_short_does_not_fit(self, sample_net):
         result = replay(sample_net, ("A",))
         assert not result.fits
-        assert result.consumed_missing == 0
+        assert result.consumed_missing == 1  # no token reached the sink
         assert result.produced_remaining == 2
+
+    def test_empty_final_marking_counts_missing_sink_token(self):
+        # Mined from xxz, yz, x takes the source token and outputs nothing.
+        net, _ = alpha(log_from_sequences(["xxz", "yz"]))
+        assert net.outputs("x") == frozenset()
+        result = replay(net, ("x",))
+        assert not result.fits
+        assert result.consumed_missing == 1
+        assert result.produced_remaining == 0
 
     def test_unknown_activity_rejected(self, sample_net):
         with pytest.raises(KeyError):
@@ -218,6 +249,14 @@ class TestReplay:
         result = replay(sample_net, ())
         assert not result.fits
         assert result.produced_remaining == 1
+
+    @given(_nets_with_traces())
+    @example((sink_free_net(), ("x",)))
+    def test_every_misfit_is_explained(self, case):
+        net, trace = case
+        result = replay(net, trace)
+        if not result.fits:
+            assert result.consumed_missing + result.produced_remaining >= 1
 
 
 class TestGenerateTraces:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from trailnet.eventlog import EventLog, log_from_sequences, simplify
+from trailnet.eventlog import EventLog, log_from_sequences
 from trailnet.relations import (
     FootprintMatrix,
     Relation,
@@ -67,7 +67,8 @@ class TestFootprint:
     def test_sample_full_matrix(self, sample_log):
         # Brute-force evaluation of the definitions over all 25 ordered pairs.
         matrix = footprint(sample_log)
-        expected = naive_footprint_cells(simplify(sample_log), matrix.alphabet)
+        sequences = [t.activities for t in sample_log.traces]
+        expected = naive_footprint_cells(sequences, matrix.alphabet)
         assert dict(matrix.cells) == expected
 
     def test_self_pair_from_repetition_is_parallel(self):
@@ -96,7 +97,8 @@ class TestFootprint:
     @given(_small_logs)
     def test_matches_naive_recomputation(self, log):
         matrix = footprint(log)
-        assert dict(matrix.cells) == naive_footprint_cells(simplify(log), matrix.alphabet)
+        sequences = [t.activities for t in log.traces]
+        assert dict(matrix.cells) == naive_footprint_cells(sequences, matrix.alphabet)
 
     @given(_small_logs)
     def test_partition_and_symmetry(self, log):
@@ -114,7 +116,7 @@ class TestFootprint:
 
     @given(_small_logs, st.randoms(use_true_random=False))
     def test_invariant_under_trace_reorder_and_duplication(self, log, rng):
-        shuffled = simplify(log)
+        shuffled = [t.activities for t in log.traces]
         rng.shuffle(shuffled)
         doubled = shuffled + shuffled
         assert footprint(log_from_sequences(doubled)).cells == footprint(log).cells
@@ -122,18 +124,20 @@ class TestFootprint:
 
 class TestMatrixValidation:
     def test_cells_must_cover_grid(self):
-        with pytest.raises(ValueError):
-            FootprintMatrix(("A", "B"), {("A", "A"): Relation.UNRELATED})
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            FootprintMatrix(("A", "B"), frozenset({("A", "C")}))
 
     def test_mirror_symmetry_enforced(self):
-        cells = {
-            ("A", "A"): Relation.UNRELATED,
-            ("A", "B"): Relation.CAUSAL_FORWARD,
-            ("B", "A"): Relation.CAUSAL_FORWARD,
-            ("B", "B"): Relation.UNRELATED,
-        }
-        with pytest.raises(ValueError):
-            FootprintMatrix(("A", "B"), cells)
+        matrix = FootprintMatrix(("A", "B"), {("A", "B")})
+        assert matrix.relation("A", "B") is Relation.CAUSAL_FORWARD
+        assert matrix.relation("B", "A") is Relation.CAUSAL_BACKWARD
+
+    def test_cells_built_on_first_use(self, sample_log):
+        matrix = footprint(sample_log)
+        assert "cells" not in vars(matrix)
+        assert matrix.cells is matrix.cells
+        with pytest.raises(TypeError):
+            matrix.cells[("A", "B")] = Relation.UNRELATED
 
 
 class TestCsvExport:

@@ -167,10 +167,9 @@ class TestBuildLog:
         assert trace_log.log.traces[0].events[0].activity == "read:initiator"
 
     def test_metadata_carried(self):
-        trace_log = build_log([record()], ByArtifact(), source="in.jsonl")
+        trace_log = build_log([record()], ByArtifact())
         assert trace_log.strategy == "artifact"
         assert trace_log.record_count == 1
-        assert trace_log.source == "in.jsonl"
         assert trace_log.window is None
 
     def test_strategy_labels(self):
