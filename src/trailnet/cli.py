@@ -1,9 +1,12 @@
 """Command-line pipeline: review records -> event log -> nets, footprints, graphs.
 
 One subcommand per pipeline stage so every artifact stays independently
-inspectable. Errors land on stderr as a single JSON line; exit codes are
-0 success, 1 I/O or parse failure, 2 invalid configuration, 3 alphabet
-limit exceeded.
+inspectable. Each subcommand is declared once, in :func:`build_parser`,
+which binds it to a handler; :func:`_check_args` then validates and
+converts what argparse cannot, before any input is read, and the
+handler turns the input text into its outputs. Errors land on stderr as
+a single JSON line; exit codes are 0 success, 1 I/O or parse failure,
+2 invalid configuration, 3 alphabet limit exceeded.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import timedelta
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +35,6 @@ from .reviews import (
     ByCommit,
     ByThread,
     ByTopic,
-    CaseStrategy,
     build_log,
     metadata_json,
     parse_records_jsonl,
@@ -41,7 +42,6 @@ from .reviews import (
 )
 from .social import (
     _graph_from_payload,
-    graph_from_json,
     graph_to_dot,
     graph_to_json,
     handover_of_work,
@@ -67,20 +67,6 @@ class ConfigError(Exception):
     """The requested run configuration is invalid."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: command, paths, and command-specific knobs."""
-
-    command: str
-    input_path: Path
-    output_path: Path
-    strategy: CaseStrategy | None = None
-    window: tuple[datetime, datetime] | None = None
-    bounds: tuple[int, int] | None = None
-    relation: str | None = None
-    format: str | None = None
-
-
 def _emit_error(code: int, message: str) -> None:
     print(json.dumps({"code": code, "error": message}), file=sys.stderr)
 
@@ -95,12 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trailnet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", required=True, help="input file")
-        p.add_argument("--output", required=True, help="output file (or prefix)")
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--input", required=True, type=Path, help="input file")
+        p.add_argument("--output", required=True, type=Path, help="output file (or prefix)")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("build-log", help="review records (JSONL) -> event-log CSV + metadata")
-    add_io(p)
+    p = command("build-log", _cmd_build_log, "review records (JSONL) -> event-log CSV + metadata")
     p.add_argument("--strategy", required=True, choices=sorted(_STRATEGIES))
     p.add_argument(
         "--commit-window",
@@ -112,14 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="window_from", metavar="ISO8601", help="window start")
     p.add_argument("--to", dest="window_to", metavar="ISO8601", help="window end")
 
-    p = sub.add_parser("footprint", help="event-log CSV -> footprint CSV")
-    add_io(p)
+    command("footprint", _cmd_footprint, "event-log CSV -> footprint CSV")
+    command("mine", _cmd_mine, "event-log CSV -> net JSON + DOT + intermediates JSON")
 
-    p = sub.add_parser("mine", help="event-log CSV -> net JSON + DOT + intermediates JSON")
-    add_io(p)
-
-    p = sub.add_parser("social", help="event log or records -> social graph JSON + DOT")
-    add_io(p)
+    p = command("social", _cmd_social, "event log or records -> social graph JSON + DOT")
     p.add_argument(
         "--relation",
         required=True,
@@ -127,23 +111,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="handover reads an event-log CSV, review reads records JSONL",
     )
 
-    p = sub.add_parser("simulate", help="net JSON -> complete trace set JSON")
-    add_io(p)
+    p = command("simulate", _cmd_simulate, "net JSON -> complete trace set JSON")
     p.add_argument("--max-length", type=int, default=10)
     p.add_argument("--max-traces", type=int, default=100)
 
-    p = sub.add_parser("export", help="re-render an artifact (net/graph JSON, log CSV)")
-    add_io(p)
+    p = command("export", _cmd_export, "re-render an artifact (net/graph JSON, log CSV)")
     p.add_argument("--format", required=True, choices=["dot", "json", "csv"])
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    window = None
+def _check_args(args: argparse.Namespace) -> None:
+    """Validate, and convert in place, what argparse cannot check by itself."""
     if args.command == "build-log":
         if (args.window_from is None) != (args.window_to is None):
             raise ConfigError("--from and --to must be given together")
+        window = None
         if args.window_from is not None:
             try:
                 window = (parse_timestamp(args.window_from), parse_timestamp(args.window_to))
@@ -151,29 +134,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(str(exc)) from None
             if window[0] > window[1]:
                 raise ConfigError("--from is later than --to")
-    strategy = None
-    if getattr(args, "strategy", None):
+        args.window = window
         if args.strategy == "commit":
             if args.commit_window < 0:
                 raise ConfigError("--commit-window must be non-negative")
-            strategy = ByCommit(timedelta(seconds=args.commit_window))
+            args.strategy = ByCommit(timedelta(seconds=args.commit_window))
         else:
-            strategy = _STRATEGIES[args.strategy]()
-    bounds = None
-    if args.command == "simulate":
+            args.strategy = _STRATEGIES[args.strategy]()
+    elif args.command == "simulate":
         if args.max_length < 0 or args.max_traces < 0:
             raise ConfigError("--max-length and --max-traces must be non-negative")
-        bounds = (args.max_length, args.max_traces)
-    return RunConfig(
-        command=args.command,
-        input_path=Path(args.input),
-        output_path=Path(args.output),
-        strategy=strategy,
-        window=window,
-        bounds=bounds,
-        relation=getattr(args, "relation", None),
-        format=getattr(args, "format", None),
-    )
 
 
 def _write(prefix: Path, texts: dict[str, str]) -> None:
@@ -195,19 +165,22 @@ def _alphabet_limit() -> int:
         raise ConfigError(f"{ALPHABET_LIMIT_ENV} must be an integer, got {raw!r}") from None
 
 
-def _cmd_build_log(cfg: RunConfig, text: str) -> dict[str, str]:
+# Each handler turns the input text into its outputs: output-path suffix -> text.
+
+
+def _cmd_build_log(args: argparse.Namespace, text: str) -> dict[str, str]:
     records = parse_records_jsonl(text)
-    if cfg.window is not None:
-        records = time_window_filter(records, *cfg.window)
-    trace_log = build_log(records, cfg.strategy, window=cfg.window)
+    if args.window is not None:
+        records = time_window_filter(records, *args.window)
+    trace_log = build_log(records, args.strategy, window=args.window)
     return {"": serialize_csv_log(trace_log.log), ".meta.json": metadata_json(trace_log)}
 
 
-def _cmd_footprint(cfg: RunConfig, text: str) -> dict[str, str]:
+def _cmd_footprint(args: argparse.Namespace, text: str) -> dict[str, str]:
     return {"": footprint_to_csv(footprint(parse_csv_log(text)))}
 
 
-def _cmd_mine(cfg: RunConfig, text: str) -> dict[str, str]:
+def _cmd_mine(args: argparse.Namespace, text: str) -> dict[str, str]:
     log = parse_csv_log(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -221,17 +194,17 @@ def _cmd_mine(cfg: RunConfig, text: str) -> dict[str, str]:
     }
 
 
-def _cmd_social(cfg: RunConfig, text: str) -> dict[str, str]:
-    if cfg.relation == "handover":
+def _cmd_social(args: argparse.Namespace, text: str) -> dict[str, str]:
+    if args.relation == "handover":
         graph = handover_of_work(parse_csv_log(text))
     else:
         graph = review_relation(parse_records_jsonl(text))
     return {".graph.json": graph_to_json(graph), ".graph.dot": graph_to_dot(graph)}
 
 
-def _cmd_simulate(cfg: RunConfig, text: str) -> dict[str, str]:
+def _cmd_simulate(args: argparse.Namespace, text: str) -> dict[str, str]:
     net = net_from_json(text)
-    result = generate_traces(net, *cfg.bounds)
+    result = generate_traces(net, args.max_length, args.max_traces)
     # The text of json.dumps(payload, indent=2) for the payload
     # {"complete": ..., "traces": sorted traces}, joined from per-activity
     # pieces: the indenting encoder is pure Python and a trace language can
@@ -242,10 +215,10 @@ def _cmd_simulate(cfg: RunConfig, text: str) -> dict[str, str]:
     return {"": "{\n" + fields + "\n}\n"}
 
 
-def _cmd_export(cfg: RunConfig, text: str) -> dict[str, str]:
+def _cmd_export(args: argparse.Namespace, text: str) -> dict[str, str]:
     if not text.lstrip().startswith("{"):
-        if cfg.format != "csv":
-            raise ConfigError(f"an event log can only be exported as csv, not {cfg.format}")
+        if args.format != "csv":
+            raise ConfigError(f"an event log can only be exported as csv, not {args.format}")
         return {"": serialize_csv_log(parse_csv_log(text))}
     try:
         payload = json.loads(text)
@@ -259,29 +232,22 @@ def _cmd_export(cfg: RunConfig, text: str) -> dict[str, str]:
         renderers = {"dot": graph_to_dot, "json": graph_to_json}
     else:
         raise LogError("unrecognized JSON artifact: expected a net or a social graph")
-    if cfg.format not in renderers:
-        raise ConfigError(f"a {artifact} cannot be exported as {cfg.format}")
-    return {"": renderers[cfg.format](value)}
+    if args.format not in renderers:
+        raise ConfigError(f"a {artifact} cannot be exported as {args.format}")
+    return {"": renderers[args.format](value)}
 
 
-# Each command turns the input text into its outputs: output-path suffix -> text.
-_HANDLERS = {
-    "build-log": _cmd_build_log,
-    "footprint": _cmd_footprint,
-    "mine": _cmd_mine,
-    "social": _cmd_social,
-    "simulate": _cmd_simulate,
-    "export": _cmd_export,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute a validated configuration, mapping failures to exit codes."""
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand, mapping each failure to one JSON line and an exit code."""
     try:
-        if not cfg.input_path.is_file():
-            raise FileNotFoundError(f"input not found: {cfg.input_path}")
-        text = cfg.input_path.read_text(encoding="utf-8")
-        _write(cfg.output_path, _HANDLERS[cfg.command](cfg, text))
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        _check_args(args)
+        if not args.input.is_file():
+            raise FileNotFoundError(f"input not found: {args.input}")
+        _write(args.output, args.handler(args, args.input.read_text(encoding="utf-8")))
     except ConfigError as exc:
         _emit_error(EXIT_CONFIG, str(exc))
         return EXIT_CONFIG
@@ -292,19 +258,6 @@ def run(cfg: RunConfig) -> int:
         _emit_error(EXIT_IO, str(exc))
         return EXIT_IO
     return EXIT_OK
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        cfg = _config_from_args(args)
-    except ConfigError as exc:
-        _emit_error(EXIT_CONFIG, str(exc))
-        return EXIT_CONFIG
-    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Event-log data model and its CSV interchange format.
 
-A log is a sequence of cases; each case carries an ordered sequence of
-activity executions, optionally attributed to an originator and stamped
-with a UTC instant. Activity names are compared byte-exact, never folded.
+A log is a sequence of cases; each case holds its case id, once, and an
+ordered sequence of activity executions, optionally attributed to an
+originator and stamped with a UTC instant. Activity names are compared
+byte-exact, never folded.
 Miners read a log through one sequence view, its variant table: each
 distinct activity sequence with the number of cases that follow it.
 """
@@ -13,10 +14,11 @@ import csv
 import io
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, TextIO
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 CSV_HEADER = ("case_id", "activity", "originator", "timestamp")
 
@@ -75,16 +77,14 @@ def _normalize_timestamp(instant: datetime) -> datetime:
 
 @dataclass(frozen=True)
 class Event:
-    """One activity execution inside a case."""
+    """One activity execution; the case it belongs to is its :class:`Trace`."""
 
-    case_id: str
     activity: str
+    _: KW_ONLY
     originator: str | None = None
     timestamp: datetime | None = None
 
     def __post_init__(self):
-        if not self.case_id:
-            raise LogError("event has empty case_id")
         if not self.activity:
             raise LogError("event has empty activity")
         if not self.originator:
@@ -105,17 +105,17 @@ class Trace:
     events: tuple[Event, ...]
 
     def __post_init__(self):
+        case_id = self.case_id
+        if not case_id:
+            raise LogError("trace has empty case_id")
         events = tuple(self.events)
         object.__setattr__(self, "events", events)
         if not events:
-            raise LogError(f"case {self.case_id!r} has no events")
+            raise LogError(f"case {case_id!r} has no events")
         # One pass over the events; the first violation along the sequence is reported.
-        case_id = self.case_id
         previous = events[0].timestamp
         stamped = previous is not None
         for event in events:
-            if event.case_id != case_id:
-                raise LogError(f"event of case {event.case_id!r} placed in case {case_id!r}")
             stamp = event.timestamp
             if (stamp is not None) is not stamped:
                 raise LogError(f"case {case_id!r} mixes timestamped and untimestamped events")
@@ -143,9 +143,13 @@ class EventLog:
             seen.add(trace.case_id)
 
     @cached_property
-    def variants(self) -> Counter[tuple[str, ...]]:
-        """Each distinct activity sequence, with the number of traces that follow it."""
-        return Counter(t.activities for t in self.traces)
+    def variants(self) -> Mapping[tuple[str, ...], int]:
+        """Each distinct activity sequence, with the number of traces that follow it.
+
+        Read-only, because every miner reads the same cached table; an
+        absent sequence reads 0.
+        """
+        return MappingProxyType(Counter(t.activities for t in self.traces))
 
     @cached_property
     def alphabet(self) -> frozenset[str]:
@@ -166,7 +170,7 @@ def log_from_sequences(
         case_ids = [f"c{i}" for i in range(1, len(sequences) + 1)]
     traces = []
     for case_id, seq in zip(case_ids, sequences, strict=True):
-        traces.append(Trace(case_id, tuple(Event(case_id, a) for a in seq)))
+        traces.append(Trace(case_id, tuple(Event(a) for a in seq)))
     return EventLog(tuple(traces))
 
 
@@ -211,7 +215,7 @@ def parse_csv_log(source: str | TextIO) -> EventLog:
             timestamp = parse_timestamp(stamp) if stamp else None
         except LogError as exc:
             raise LogParseError(str(exc), line) from None
-        event = Event(case_id, activity, originator or None, timestamp)
+        event = Event(activity, originator=originator or None, timestamp=timestamp)
         cases.setdefault(case_id, []).append((event, line))
 
     traces = []
@@ -236,7 +240,7 @@ def serialize_csv_log(log: EventLog) -> str:
         for event in trace.events:
             writer.writerow(
                 [
-                    event.case_id,
+                    trace.case_id,
                     event.activity,
                     event.originator or "",
                     format_timestamp(event.timestamp) if event.timestamp else "",

@@ -48,11 +48,12 @@ class WorkflowNet:
         for endpoint in (self.source, self.sink):
             if endpoint not in self.places:
                 raise NetStructureError(f"source/sink {endpoint!r} is not a place")
+        nodes = self.places | self.transitions
         for tail, head in self.arcs:
+            if tail not in nodes or head not in nodes:
+                raise NetStructureError(f"arc ({tail!r}, {head!r}) references unknown node")
             tail_is_place = tail in self.places
             head_is_place = head in self.places
-            if tail not in self.places | self.transitions or head not in self.places | self.transitions:
-                raise NetStructureError(f"arc ({tail!r}, {head!r}) references unknown node")
             if tail_is_place == head_is_place:
                 raise NetStructureError(f"arc ({tail!r}, {head!r}) is not place<->transition")
             if head == self.source:
@@ -85,7 +86,6 @@ class ReplayResult:
     fits: bool
     consumed_missing: int
     produced_remaining: int
-    firing_sequence: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def replay(net: WorkflowNet, trace: Sequence[str]) -> ReplayResult:
     else:
         missing += 1
     remaining = sum(marking.values())
-    return ReplayResult(missing == 0 and remaining == 0, missing, remaining, tuple(trace))
+    return ReplayResult(missing == 0 and remaining == 0, missing, remaining)
 
 
 def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> TraceGenerationResult:

@@ -205,7 +205,6 @@ def build_log(
         opener = ordered[0].reviewer
         events = tuple(
             Event(
-                case_id=case_id,
                 activity="%s:%s" % (
                     _verb_for(record.comment, verb_map),
                     (Role.INITIATOR if record.reviewer == opener else Role.RESPONDER).value,

@@ -415,6 +415,18 @@ class TestErrors:
         assert code == 2
         assert _stderr_payload(capsys)["code"] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-log", "--strategy", "artifact", "--from", "2012-05-03T00:00:00Z"],
+            ["simulate", "--max-length", "-1"],
+        ],
+    )
+    def test_config_error_comes_before_the_input_is_read(self, tmp_path, capsys, argv):
+        code = main(argv + ["--input", str(tmp_path / "absent"), "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert _stderr_payload(capsys)["code"] == 2
+
     def test_unknown_strategy_is_config_error(self, records_path, tmp_path, capsys):
         code = main(
             ["build-log", "--input", str(records_path), "--output", str(tmp_path / "o"), "--strategy", "nope"]

@@ -25,7 +25,7 @@ def log_of_originators(*cases: list[str]) -> EventLog:
     traces = []
     for i, people in enumerate(cases):
         case_id = f"c{i}"
-        events = tuple(Event(case_id, "review", originator=person) for person in people)
+        events = tuple(Event("review", originator=person) for person in people)
         traces.append(Trace(case_id, events))
     return EventLog(tuple(traces))
 
@@ -53,7 +53,7 @@ class TestHandover:
         assert graph.edges == {("R1", "R2"): 2}
 
     def test_missing_originator_rejected(self):
-        log = EventLog((Trace("c", (Event("c", "a"),)),))
+        log = EventLog((Trace("c", (Event("a"),)),))
         with pytest.raises(LogError):
             handover_of_work(log)
 
