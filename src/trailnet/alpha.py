@@ -114,25 +114,13 @@ def _downward_closure(y_w: frozenset[CandidatePair]) -> frozenset[CandidatePair]
     """Every pair of non-empty subsets of the two sides of some member.
 
     X_W is componentwise downward closed, so this rebuilds it from Y_W.
-    Equal sides share one frozenset across all the pairs they occur in.
     """
-    subsets: dict[frozenset[str], list[frozenset[str]]] = {}
-    shared: dict[frozenset[str], frozenset[str]] = {}
 
     def nonempty_subsets(side: frozenset[str]) -> list[frozenset[str]]:
-        if side not in subsets:
-            members = sorted(side)
-            subsets[side] = [
-                shared.setdefault(subset, subset)
-                for size in range(1, len(members) + 1)
-                for subset in map(frozenset, itertools.combinations(members, size))
-            ]
-        return subsets[side]
+        return [frozenset(s) for size in range(1, len(side) + 1) for s in itertools.combinations(side, size)]
 
-    pairs: set[CandidatePair] = set()
-    for a_side, b_side in y_w:
-        pairs.update(itertools.product(nonempty_subsets(a_side), nonempty_subsets(b_side)))
-    return frozenset(pairs)
+    pairs = (itertools.product(nonempty_subsets(a), nonempty_subsets(b)) for a, b in y_w)
+    return frozenset(itertools.chain.from_iterable(pairs))
 
 
 def candidate_pairs(

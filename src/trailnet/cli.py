@@ -138,9 +138,18 @@ def _check_args(args: argparse.Namespace) -> None:
         if args.strategy == "commit":
             if args.commit_window < 0:
                 raise ConfigError("--commit-window must be non-negative")
-            args.strategy = ByCommit(timedelta(seconds=args.commit_window))
+            try:
+                args.strategy = ByCommit(timedelta(seconds=args.commit_window))
+            except OverflowError:
+                raise ConfigError(f"--commit-window {args.commit_window} is too large") from None
         else:
             args.strategy = _STRATEGIES[args.strategy]()
+    elif args.command == "mine":
+        raw = os.environ.get(ALPHABET_LIMIT_ENV, str(DEFAULT_ALPHABET_LIMIT))
+        try:
+            args.alphabet_limit = int(raw)
+        except ValueError:
+            raise ConfigError(f"{ALPHABET_LIMIT_ENV} must be an integer, got {raw!r}") from None
     elif args.command == "simulate":
         if args.max_length < 0 or args.max_traces < 0:
             raise ConfigError("--max-length and --max-traces must be non-negative")
@@ -153,16 +162,6 @@ def _write(prefix: Path, texts: dict[str, str]) -> None:
     for path, data in encoded:
         path.write_bytes(data)
         print(path)
-
-
-def _alphabet_limit() -> int:
-    raw = os.environ.get(ALPHABET_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_ALPHABET_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{ALPHABET_LIMIT_ENV} must be an integer, got {raw!r}") from None
 
 
 # Each handler turns the input text into its outputs: output-path suffix -> text.
@@ -184,7 +183,7 @@ def _cmd_mine(args: argparse.Namespace, text: str) -> dict[str, str]:
     log = parse_csv_log(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        net, intermediates = alpha(log, alphabet_limit=_alphabet_limit())
+        net, intermediates = alpha(log, alphabet_limit=args.alphabet_limit)
     for warning in caught:
         print(json.dumps({"warning": str(warning.message)}), file=sys.stderr)
     return {
@@ -247,7 +246,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _check_args(args)
         if not args.input.is_file():
             raise FileNotFoundError(f"input not found: {args.input}")
-        _write(args.output, args.handler(args, args.input.read_text(encoding="utf-8")))
+        _write(args.output, args.handler(args, args.input.read_bytes().decode("utf-8")))
     except ConfigError as exc:
         _emit_error(EXIT_CONFIG, str(exc))
         return EXIT_CONFIG

@@ -17,8 +17,8 @@ from collections import Counter
 from dataclasses import KW_ONLY, dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from types import MappingProxyType, SimpleNamespace
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 CSV_HEADER = ("case_id", "activity", "originator", "timestamp")
 
@@ -160,18 +160,11 @@ class EventLog:
         return len(self.traces)
 
 
-def log_from_sequences(
-    sequences: Iterable[Sequence[str]],
-    case_ids: Iterable[str] | None = None,
-) -> EventLog:
-    """Build a bare log from activity sequences (cases ``c1``, ``c2``, ... by default)."""
-    sequences = list(sequences)
-    if case_ids is None:
-        case_ids = [f"c{i}" for i in range(1, len(sequences) + 1)]
-    traces = []
-    for case_id, seq in zip(case_ids, sequences, strict=True):
-        traces.append(Trace(case_id, tuple(Event(a) for a in seq)))
-    return EventLog(tuple(traces))
+def log_from_sequences(sequences: Iterable[Sequence[str]]) -> EventLog:
+    """Build a bare log from activity sequences, in cases ``c1``, ``c2``, ..."""
+    return EventLog(
+        tuple(Trace(f"c{i}", tuple(Event(a) for a in seq)) for i, seq in enumerate(sequences, start=1))
+    )
 
 
 def _rows(reader) -> Iterator[list[str]]:
@@ -231,19 +224,33 @@ def parse_csv_log(source: str | TextIO) -> EventLog:
     return EventLog(tuple(traces))
 
 
+def _csv_text(rows: Callable[[], Iterable[Sequence[str]]]) -> str:
+    """The rows that ``rows()`` yields as CSV with ``\\n`` line ends, quoting a
+    field that holds a comma, a quote, ``\\n`` or ``\\r``.
+
+    Before Python 3.13 the writer quotes only the characters of its line
+    terminator, so it would leave a lone ``\\r`` bare and the text would not
+    read back. Such a text is written again with ``\\r\\n`` ends, which quote
+    ``\\r`` as well, and each row's end is cut back to ``\\n``.
+    """
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows())
+    text = out.getvalue()
+    if "\r" not in text:
+        return text
+    # writerow returns what the file's write returns: here, the row's text.
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n")
+    return "".join(writer.writerow(row)[:-2] + "\n" for row in rows())
+
+
 def serialize_csv_log(log: EventLog) -> str:
     """Canonical CSV rendering: exact header, ``\\n`` line endings."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for trace in log.traces:
-        for event in trace.events:
-            writer.writerow(
-                [
-                    trace.case_id,
-                    event.activity,
-                    event.originator or "",
-                    format_timestamp(event.timestamp) if event.timestamp else "",
-                ]
-            )
-    return out.getvalue()
+
+    def rows() -> Iterator[Sequence[str]]:
+        yield CSV_HEADER
+        for trace in log.traces:
+            for event in trace.events:
+                stamp = format_timestamp(event.timestamp) if event.timestamp else ""
+                yield (trace.case_id, event.activity, event.originator or "", stamp)
+
+    return _csv_text(rows)

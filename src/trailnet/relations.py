@@ -9,15 +9,13 @@ succession pairs and reads every relation off them.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
-from .eventlog import EventLog
+from .eventlog import EventLog, _csv_text
 
 
 class Relation(enum.Enum):
@@ -83,9 +81,10 @@ def footprint(log: EventLog) -> FootprintMatrix:
 
 def footprint_to_csv(matrix: FootprintMatrix) -> str:
     """CSV grid with activity headers and cell symbols, lexicographic order."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("",) + matrix.alphabet)
-    for a in matrix.alphabet:
-        writer.writerow([a] + [matrix.cells[(a, b)].value for b in matrix.alphabet])
-    return out.getvalue()
+
+    def rows() -> Iterator[Sequence[str]]:
+        yield ("",) + matrix.alphabet
+        for a in matrix.alphabet:
+            yield [a] + [matrix.cells[(a, b)].value for b in matrix.alphabet]
+
+    return _csv_text(rows)

@@ -8,7 +8,6 @@ the discussion is the initiator; everyone reacting later is a responder.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -35,11 +34,6 @@ class RecordParseError(RecordError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line is not None else message)
         self.line = line
-
-
-class Role(enum.Enum):
-    INITIATOR = "initiator"
-    RESPONDER = "responder"
 
 
 DEFAULT_VERB = "review"
@@ -146,13 +140,12 @@ def _group_records(
                 )
             by_submitter.setdefault(record.submitter, []).append(record)
         for submitter in sorted(by_submitter):
-            session: list[ReviewRecord] = []
+            sessions: list[list[ReviewRecord]] = []
             for record in sorted(by_submitter[submitter], key=lambda r: r.timestamp):
-                if session and record.timestamp - session[-1].timestamp > strategy.window:
-                    cases[f"{submitter}@{format_timestamp(session[0].timestamp)}"] = session
-                    session = []
-                session.append(record)
-            if session:
+                if not sessions or record.timestamp - sessions[-1][-1].timestamp > strategy.window:
+                    sessions.append([])
+                sessions[-1].append(record)
+            for session in sessions:
                 cases[f"{submitter}@{format_timestamp(session[0].timestamp)}"] = session
         return cases
 
@@ -207,7 +200,7 @@ def build_log(
             Event(
                 activity="%s:%s" % (
                     _verb_for(record.comment, verb_map),
-                    (Role.INITIATOR if record.reviewer == opener else Role.RESPONDER).value,
+                    "initiator" if record.reviewer == opener else "responder",
                 ),
                 originator=record.reviewer,
                 timestamp=record.timestamp,
@@ -247,7 +240,10 @@ def parse_records_jsonl(text: str) -> list[ReviewRecord]:
     and optional ``thread_id`` / ``topic``. Unknown keys are ignored.
     """
     records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # Lines end at \r\n, \r or \n only; str.splitlines would also split at
+    # U+2028 and the other separators that a JSON string may hold unescaped.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:

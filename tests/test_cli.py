@@ -174,6 +174,25 @@ class TestSocial:
         assert ["r1", "r2", 1] in graph["edges"]
         assert ["r2", "r1", 1] in graph["edges"]
 
+    @pytest.mark.parametrize("name", ["x\ry", "x\r\ny"])
+    def test_line_break_in_a_name_survives_the_chain(self, tmp_path, name):
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            _record_line("X", "r1", "2012-05-03T12:00:00Z") + "\n"
+            + _record_line("X", name, "2012-05-03T12:05:00Z") + "\n",
+            encoding="utf-8",
+        )
+        log_path = tmp_path / "log.csv"
+        assert main(["build-log", "--input", str(records), "--output", str(log_path), "--strategy", "artifact"]) == 0
+        prefix = tmp_path / "net"
+        assert main(["social", "--input", str(log_path), "--relation", "handover", "--output", str(prefix)]) == 0
+        graph = json.loads((tmp_path / "net.graph.json").read_text(encoding="utf-8"))
+        assert graph["nodes"] == sorted(["r1", name])
+        assert ["r1", name, 1] in graph["edges"]
+        again = tmp_path / "again.csv"
+        assert main(["export", "--input", str(log_path), "--output", str(again), "--format", "csv"]) == 0
+        assert again.read_bytes() == log_path.read_bytes()
+
     def test_review_from_records(self, tmp_path, records_path):
         prefix = tmp_path / "rev"
         assert main(["social", "--input", str(records_path), "--relation", "review", "--output", str(prefix)]) == 0
@@ -420,9 +439,15 @@ class TestErrors:
         [
             ["build-log", "--strategy", "artifact", "--from", "2012-05-03T00:00:00Z"],
             ["simulate", "--max-length", "-1"],
+            ["build-log", "--strategy", "commit", "--commit-window", "100000000000000"],
+            ["TRAILNET_ALPHABET_LIMIT=x", "mine"],
         ],
     )
-    def test_config_error_comes_before_the_input_is_read(self, tmp_path, capsys, argv):
+    def test_config_error_comes_before_the_input_is_read(self, tmp_path, capsys, monkeypatch, argv):
+        # A leading NAME=value sets an environment variable, as in a shell.
+        while "=" in argv[0]:
+            monkeypatch.setenv(*argv[0].split("=", 1))
+            argv = argv[1:]
         code = main(argv + ["--input", str(tmp_path / "absent"), "--output", str(tmp_path / "o")])
         assert code == 2
         assert _stderr_payload(capsys)["code"] == 2
@@ -666,10 +691,13 @@ class TestContractFuzz:
         ids=" ".join,
     )
     @settings(deadline=None, max_examples=80)
-    @given(data=_INPUTS)
-    @example(data=b'{"places": ' + b"[" * 100_000)
-    @example(data=b'{"nodes": ["a", "b"], "edges": [["a", "b", 1], ["a", "b", 2]]}')
-    def test_exit_code_or_one_json_error_line(self, argv, data):
+    @given(data=_INPUTS, window=st.integers())
+    @example(data=b'{"places": ' + b"[" * 100_000, window=0)
+    @example(data=b'{"nodes": ["a", "b"], "edges": [["a", "b", 1], ["a", "b", 2]]}', window=0)
+    @example(data=b"", window=10**14)
+    def test_exit_code_or_one_json_error_line(self, argv, data, window):
+        if argv[-1] == "commit":
+            argv = argv + [f"--commit-window={window}"]
         with tempfile.TemporaryDirectory() as tmp:
             source = Path(tmp, "input")
             source.write_bytes(data)

@@ -30,6 +30,10 @@ _name = st.text(
     min_size=1,
     max_size=8,
 )
+# Names made of the characters that CSV has to quote, line breaks included.
+_breaking_name = st.lists(
+    st.sampled_from(["\r", "\n", "\r\n", '"', ",", "a", "b"]), min_size=1, max_size=5
+).map("".join)
 _instant = st.integers(0, 2**31).map(lambda s: datetime.fromtimestamp(s, tz=UTC))
 
 
@@ -283,6 +287,23 @@ class TestSerialize:
         text = serialize_csv_log(log)
         assert parse_csv_log(text) == log
         assert serialize_csv_log(parse_csv_log(text)) == text
+
+    @given(
+        st.lists(_breaking_name, min_size=1, max_size=4, unique=True),
+        st.lists(st.tuples(_breaking_name, st.none() | _breaking_name), min_size=1, max_size=4),
+    )
+    @example(["c"], [("a", "x\ry")])
+    def test_line_breaks_and_quotes_round_trip(self, case_ids, events):
+        log = EventLog(
+            tuple(Trace(c, tuple(Event(a, originator=o) for a, o in events)) for c in case_ids)
+        )
+        text = serialize_csv_log(log)
+        assert parse_csv_log(text) == log
+        assert serialize_csv_log(parse_csv_log(text)) == text
+
+    def test_carriage_return_is_quoted(self):
+        log = EventLog((Trace("c", (Event("a\rb"),)),))
+        assert serialize_csv_log(log) == 'case_id,activity,originator,timestamp\nc,"a\rb",,\n'
 
 
 class TestViews:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+import io
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -146,6 +149,13 @@ class TestCsvExport:
 
     def test_deterministic(self, sample_log):
         assert footprint_to_csv(footprint(sample_log)) == footprint_to_csv(footprint(sample_log))
+
+    def test_line_breaks_in_names_round_trip(self):
+        names = ["a\rb", "c\nd", "e\r\nf", 'g"h']
+        matrix = footprint(log_from_sequences([names]))
+        rows = list(csv.reader(io.StringIO(footprint_to_csv(matrix), newline="")))
+        assert rows[0] == ["", *sorted(names)]
+        assert [row[0] for row in rows[1:]] == sorted(names)
 
     def test_empty_log_grid(self):
         # lone corner cell: csv renders a single empty field as ""

@@ -312,6 +312,23 @@ class TestJsonl:
             parse_records_jsonl(line)
         assert err.value.line == lineno
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u0085", "\u2029"])
+    def test_unicode_line_separator_in_a_string_stays_in_its_record(self, separator):
+        payload = {
+            "artifact_id": "X",
+            "submitter": "s",
+            "reviewer": "r",
+            "comment": f"one{separator}two",
+            "timestamp": "2012-05-03T12:00:00Z",
+        }
+        good = json.dumps(payload)
+        text = json.dumps(payload, ensure_ascii=False) + "\r\n" + good + "\r" + good + "\n{broken"
+        with pytest.raises(RecordParseError) as err:
+            parse_records_jsonl(text)
+        assert err.value.line == 4
+        records = parse_records_jsonl(text.rsplit("\n", 1)[0])
+        assert [r.comment for r in records] == [f"one{separator}two"] * 3
+
     def test_error_on_later_line(self):
         good = '{"artifact_id": "X", "submitter": "s", "reviewer": "r", "comment": "c", "timestamp": "2012-05-03T12:00:00Z"}'
         with pytest.raises(RecordParseError) as err:
