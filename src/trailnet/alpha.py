@@ -117,7 +117,12 @@ def _downward_closure(y_w: frozenset[CandidatePair]) -> frozenset[CandidatePair]
     """
 
     def nonempty_subsets(side: frozenset[str]) -> list[frozenset[str]]:
-        return [frozenset(s) for size in range(1, len(side) + 1) for s in itertools.combinations(side, size)]
+        members = sorted(side)
+        return [
+            frozenset(subset)
+            for size in range(1, len(members) + 1)
+            for subset in itertools.combinations(members, size)
+        ]
 
     pairs = (itertools.product(nonempty_subsets(a), nonempty_subsets(b)) for a, b in y_w)
     return frozenset(itertools.chain.from_iterable(pairs))

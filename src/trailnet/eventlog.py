@@ -18,7 +18,7 @@ from dataclasses import KW_ONLY, dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from types import MappingProxyType, SimpleNamespace
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 CSV_HEADER = ("case_id", "activity", "originator", "timestamp")
 
@@ -162,9 +162,10 @@ class EventLog:
 
 def log_from_sequences(sequences: Iterable[Sequence[str]]) -> EventLog:
     """Build a bare log from activity sequences, in cases ``c1``, ``c2``, ..."""
-    return EventLog(
-        tuple(Trace(f"c{i}", tuple(Event(a) for a in seq)) for i, seq in enumerate(sequences, start=1))
-    )
+    traces = []
+    for i, seq in enumerate(sequences, start=1):
+        traces.append(Trace(f"c{i}", tuple(Event(a) for a in seq)))
+    return EventLog(tuple(traces))
 
 
 def _rows(reader) -> Iterator[list[str]]:
@@ -224,23 +225,19 @@ def parse_csv_log(source: str | TextIO) -> EventLog:
     return EventLog(tuple(traces))
 
 
-def _csv_text(rows: Callable[[], Iterable[Sequence[str]]]) -> str:
-    """The rows that ``rows()`` yields as CSV with ``\\n`` line ends, quoting a
-    field that holds a comma, a quote, ``\\n`` or ``\\r``.
+def _csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """The rows as CSV with ``\\n`` line ends, quoting a field that holds a
+    comma, a quote, ``\\n`` or ``\\r``.
 
     Before Python 3.13 the writer quotes only the characters of its line
-    terminator, so it would leave a lone ``\\r`` bare and the text would not
-    read back. Such a text is written again with ``\\r\\n`` ends, which quote
-    ``\\r`` as well, and each row's end is cut back to ``\\n``.
+    terminator, so rows are written with ``\\r\\n`` ends, which quote both,
+    and each row's end is cut back to ``\\n``.
     """
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows())
-    text = out.getvalue()
-    if "\r" not in text:
-        return text
-    # writerow returns what the file's write returns: here, the row's text.
-    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n")
-    return "".join(writer.writerow(row)[:-2] + "\n" for row in rows())
+    # The writer hands each row to write() in one call, ending in "\r\n".
+    cut = SimpleNamespace(write=lambda row: out.write(row[:-2] + "\n"))
+    csv.writer(cut, lineterminator="\r\n").writerows(rows)
+    return out.getvalue()
 
 
 def serialize_csv_log(log: EventLog) -> str:
@@ -253,4 +250,4 @@ def serialize_csv_log(log: EventLog) -> str:
                 stamp = format_timestamp(event.timestamp) if event.timestamp else ""
                 yield (trace.case_id, event.activity, event.originator or "", stamp)
 
-    return _csv_text(rows)
+    return _csv_text(rows())

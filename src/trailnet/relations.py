@@ -87,4 +87,4 @@ def footprint_to_csv(matrix: FootprintMatrix) -> str:
         for a in matrix.alphabet:
             yield [a] + [matrix.cells[(a, b)].value for b in matrix.alphabet]
 
-    return _csv_text(rows)
+    return _csv_text(rows())
