@@ -17,13 +17,14 @@ from collections import Counter
 from dataclasses import KW_ONLY, dataclass
 from datetime import datetime, timezone
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 CSV_HEADER = ("case_id", "activity", "originator", "timestamp")
 
 # The one timestamp shape: fixed-width fields of ASCII digits, UTC only.
-_TIMESTAMP = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
+_TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
 
 
 class LogError(ValueError):
@@ -44,14 +45,12 @@ def parse_timestamp(text: str) -> datetime:
     Only that exact shape is accepted: every field zero-padded to its
     width and written in ASCII digits.
     """
-    match = _TIMESTAMP.fullmatch(text)
-    if match is not None:
-        year, month, day, hour, minute, second = match.groups()
+    if _TIMESTAMP.fullmatch(text) is not None:
+        # The regex is the only shape check: fromisoformat alone also takes
+        # other shapes. The "+00:00" offset (Python 3.10 rejects "Z") gives
+        # the timezone.utc singleton as tzinfo.
         try:
-            return datetime(
-                int(year), int(month), int(day), int(hour), int(minute), int(second),
-                tzinfo=timezone.utc,
-            )
+            return datetime.fromisoformat(text[:-1] + "+00:00")
         except ValueError:  # a field out of range, e.g. month 13 or February 30
             pass
     raise LogError(f"bad timestamp {text!r}, expected YYYY-MM-DDThh:mm:ssZ")
@@ -75,7 +74,7 @@ def _normalize_timestamp(instant: datetime) -> datetime:
     return instant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One activity execution; the case it belongs to is its :class:`Trace`."""
 
@@ -93,7 +92,7 @@ class Event:
             object.__setattr__(self, "timestamp", _normalize_timestamp(self.timestamp))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     """The event sequence of one case.
 
@@ -126,6 +125,30 @@ class Trace:
     @property
     def activities(self) -> tuple[str, ...]:
         return tuple(e.activity for e in self.events)
+
+
+# The trusted constructors: parse_csv_log and build_log call them only
+# after checking every field themselves, so that each value is validated
+# once. Every other caller goes through the public classes.
+
+
+def _event(activity: str, originator: str | None, timestamp: datetime | None) -> Event:
+    """An :class:`Event` whose activity is non-empty, originator non-empty or
+    None, and timestamp None or a whole-second datetime in ``timezone.utc``."""
+    event = object.__new__(Event)
+    object.__setattr__(event, "activity", activity)
+    object.__setattr__(event, "originator", originator)
+    object.__setattr__(event, "timestamp", timestamp)
+    return event
+
+
+def _trace(case_id: str, events: tuple[Event, ...]) -> Trace:
+    """A :class:`Trace` with a non-empty case id and a non-empty tuple of
+    events that are either all untimestamped or all in timestamp order."""
+    trace = object.__new__(Trace)
+    object.__setattr__(trace, "case_id", case_id)
+    object.__setattr__(trace, "events", events)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -176,6 +199,7 @@ def _rows(reader) -> Iterator[list[str]]:
         raise LogParseError(str(exc), reader.line_num) from None
 
 
+
 def parse_csv_log(source: str | TextIO) -> EventLog:
     """Parse the CSV interchange format into an :class:`EventLog`.
 
@@ -185,7 +209,7 @@ def parse_csv_log(source: str | TextIO) -> EventLog:
     number for malformed rows.
     """
     text = source.read() if hasattr(source, "read") else source
-    reader = csv.reader(io.StringIO(text.lstrip("﻿"), newline=""))
+    reader = csv.reader(io.StringIO(text.lstrip("\ufeff"), newline=""))
     rows = _rows(reader)
     header = next(rows, None)
     if header is None:
@@ -193,35 +217,39 @@ def parse_csv_log(source: str | TextIO) -> EventLog:
     if tuple(header) != CSV_HEADER:
         raise LogParseError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}", 1)
 
-    cases: dict[str, list[tuple[Event, int]]] = {}
+    cases: dict[str, list[Event]] = {}
+    unstamped: dict[str, int] = {}  # case id -> line of its first row without a timestamp
     for row in rows:
-        line = reader.line_num
         if not row:
             continue
         if len(row) != len(CSV_HEADER):
-            raise LogParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}", line)
+            raise LogParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}", reader.line_num)
         case_id, activity, originator, stamp = row
         if not case_id:
-            raise LogParseError("empty case_id", line)
+            raise LogParseError("empty case_id", reader.line_num)
         if not activity:
-            raise LogParseError("empty activity", line)
-        try:
-            timestamp = parse_timestamp(stamp) if stamp else None
-        except LogError as exc:
-            raise LogParseError(str(exc), line) from None
-        event = Event(activity, originator=originator or None, timestamp=timestamp)
-        cases.setdefault(case_id, []).append((event, line))
+            raise LogParseError("empty activity", reader.line_num)
+        if stamp:
+            try:
+                timestamp = parse_timestamp(stamp)
+            except LogError as exc:
+                raise LogParseError(str(exc), reader.line_num) from None
+        else:
+            timestamp = None
+            unstamped.setdefault(case_id, reader.line_num)
+        events = cases.get(case_id)
+        if events is None:
+            events = cases[case_id] = []
+        events.append(_event(activity, originator or None, timestamp))
 
     traces = []
-    for case_id, rows in cases.items():
-        stamped = [line for event, line in rows if event.timestamp is not None]
-        if stamped and len(stamped) != len(rows):
-            missing = next(line for event, line in rows if event.timestamp is None)
-            raise LogParseError(f"case {case_id!r} mixes timestamped and untimestamped rows", missing)
-        events = [event for event, _ in rows]
-        if stamped:
-            events.sort(key=lambda e: e.timestamp)  # stable: ties keep file order
-        traces.append(Trace(case_id, tuple(events)))
+    for case_id, events in cases.items():
+        line = unstamped.get(case_id)
+        if line is None:
+            events.sort(key=attrgetter("timestamp"))  # stable: ties keep file order
+        elif any(event.timestamp is not None for event in events):
+            raise LogParseError(f"case {case_id!r} mixes timestamped and untimestamped rows", line)
+        traces.append(_trace(case_id, tuple(events)))
     return EventLog(tuple(traces))
 
 
@@ -236,7 +264,10 @@ def _csv_text(rows: Iterable[Sequence[str]]) -> str:
     out = io.StringIO()
     # The writer hands each row to write() in one call, ending in "\r\n".
     cut = SimpleNamespace(write=lambda row: out.write(row[:-2] + "\n"))
-    csv.writer(cut, lineterminator="\r\n").writerows(rows)
+    try:
+        csv.writer(cut, lineterminator="\r\n").writerows(rows)
+    except csv.Error as exc:  # Python 3.10 cannot write a field holding NUL
+        raise LogError(f"cannot write CSV: {exc}") from None
     return out.getvalue()
 
 

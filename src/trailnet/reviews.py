@@ -11,16 +11,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .eventlog import (
-    Event,
     EventLog,
     LogError,
-    Trace,
     format_timestamp,
     parse_timestamp,
+    _event,
     _normalize_timestamp,
+    _trace,
 )
 
 
@@ -39,7 +40,7 @@ class RecordParseError(RecordError):
 DEFAULT_VERB = "review"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReviewRecord:
     """One review comment on a submitted artifact."""
 
@@ -60,6 +61,29 @@ class ReviewRecord:
             object.__setattr__(self, "timestamp", _normalize_timestamp(self.timestamp))
         except LogError as exc:
             raise RecordError(str(exc)) from None
+
+
+def _record(
+    artifact_id: str,
+    submitter: str,
+    reviewer: str,
+    comment: str,
+    timestamp: datetime,
+    thread_id: str | None,
+    topic: str | None,
+) -> ReviewRecord:
+    """A :class:`ReviewRecord` from fields :func:`parse_records_jsonl` has
+    checked: non-empty ``artifact_id`` and ``reviewer``, and a timestamp
+    that :func:`parse_timestamp` built."""
+    record = object.__new__(ReviewRecord)
+    object.__setattr__(record, "artifact_id", artifact_id)
+    object.__setattr__(record, "submitter", submitter)
+    object.__setattr__(record, "reviewer", reviewer)
+    object.__setattr__(record, "comment", comment)
+    object.__setattr__(record, "timestamp", timestamp)
+    object.__setattr__(record, "thread_id", thread_id)
+    object.__setattr__(record, "topic", topic)
+    return record
 
 
 @dataclass(frozen=True)
@@ -164,6 +188,7 @@ def _group_records(
     return cases
 
 
+
 def _verb_for(comment: str, verb_map: Mapping[str, str] | None) -> str:
     if verb_map:
         lowered = comment.lower()
@@ -193,21 +218,24 @@ def build_log(
         raise RecordError("no records to build a log from")
     cases = _group_records(records, strategy)
     traces = []
+    # A record's reviewer is non-empty and its timestamp whole-second UTC, and
+    # every case is non-empty with a non-empty key: the events and traces
+    # below need no further checks.
     for case_id in sorted(cases):
-        ordered = sorted(cases[case_id], key=lambda r: r.timestamp)  # stable
+        ordered = sorted(cases[case_id], key=attrgetter("timestamp"))  # stable
         opener = ordered[0].reviewer
         events = tuple(
-            Event(
-                activity="%s:%s" % (
+            _event(
+                "%s:%s" % (
                     _verb_for(record.comment, verb_map),
                     "initiator" if record.reviewer == opener else "responder",
                 ),
-                originator=record.reviewer,
-                timestamp=record.timestamp,
+                record.reviewer,
+                record.timestamp,
             )
             for record in ordered
         )
-        traces.append(Trace(case_id, events))
+        traces.append(_trace(case_id, events))
     log = EventLog(tuple(traces))
     return TraceLog(log, strategy.label, len(records), window)
 
@@ -230,6 +258,10 @@ def durations(log: TraceLog | EventLog) -> dict[str, list[timedelta]]:
 
 
 _REQUIRED_FIELDS = ("artifact_id", "submitter", "reviewer", "comment", "timestamp")
+_required_values = itemgetter(*_REQUIRED_FIELDS)
+# The C scanner that json.loads runs, called directly: it reads one value
+# from an offset and leaves the rest of the line to the caller.
+_scan_once = json.JSONDecoder().scan_once
 
 
 def parse_records_jsonl(text: str) -> list[ReviewRecord]:
@@ -246,30 +278,55 @@ def parse_records_jsonl(text: str) -> list[ReviewRecord]:
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        # A line that is one JSON value followed by nothing but JSON
+        # whitespace is read by the scanner alone. json.loads reads every
+        # other line (leading whitespace, a BOM, trailing text, an error),
+        # so that it accepts or rejects it with its own message.
         try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordParseError(f"invalid JSON: {exc.msg}", line_no) from None
-        except RecursionError:
-            raise RecordParseError("invalid JSON: nested too deeply", line_no) from None
+            payload, end = _scan_once(line, 0)
+            scanned = not line[end:].strip(" \t\n\r")
+        except (StopIteration, ValueError, RecursionError):
+            scanned = False
+        if not scanned:
+            try:
+                payload = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RecordParseError(f"invalid JSON: {exc.msg}", line_no) from None
+            except RecursionError:
+                raise RecordParseError("invalid JSON: nested too deeply", line_no) from None
         if not isinstance(payload, dict):
             raise RecordParseError("record is not a JSON object", line_no)
-        missing = [f for f in _REQUIRED_FIELDS if f not in payload]
-        if missing:
-            raise RecordParseError(f"missing fields: {', '.join(missing)}", line_no)
-        values = {f: payload[f] for f in _REQUIRED_FIELDS}
-        if not all(isinstance(v, str) for v in values.values()):
-            raise RecordParseError("record fields must be strings", line_no)
-        for optional in ("thread_id", "topic"):
-            value = payload.get(optional)
-            if value is not None and not isinstance(value, str):
-                raise RecordParseError(f"{optional} must be a string when present", line_no)
-            values[optional] = value or None
         try:
-            values["timestamp"] = parse_timestamp(values["timestamp"])
-            records.append(ReviewRecord(**values))
-        except (LogError, RecordError) as exc:
+            artifact_id, submitter, reviewer, comment, stamp = _required_values(payload)
+        except KeyError:
+            missing = [f for f in _REQUIRED_FIELDS if f not in payload]
+            raise RecordParseError(f"missing fields: {', '.join(missing)}", line_no) from None
+        if not (
+            isinstance(artifact_id, str)
+            and isinstance(submitter, str)
+            and isinstance(reviewer, str)
+            and isinstance(comment, str)
+            and isinstance(stamp, str)
+        ):
+            raise RecordParseError("record fields must be strings", line_no)
+        thread_id = payload.get("thread_id")
+        if thread_id is not None and not isinstance(thread_id, str):
+            raise RecordParseError("thread_id must be a string when present", line_no)
+        topic = payload.get("topic")
+        if topic is not None and not isinstance(topic, str):
+            raise RecordParseError("topic must be a string when present", line_no)
+        try:
+            timestamp = parse_timestamp(stamp)
+        except LogError as exc:
             raise RecordParseError(str(exc), line_no) from None
+        # The checks of ReviewRecord, in its order and with its messages.
+        if not artifact_id:
+            raise RecordParseError("record has empty artifact_id", line_no)
+        if not reviewer:
+            raise RecordParseError("record has empty reviewer", line_no)
+        records.append(
+            _record(artifact_id, submitter, reviewer, comment, timestamp, thread_id or None, topic or None)
+        )
     return records
 
 

@@ -1,15 +1,32 @@
-"""Independent brute-force re-computations used as oracles.
+"""Independent re-computations used as oracles.
 
-Everything here evaluates definitions literally and exhaustively; none of
-it shares code paths with the library implementations it checks.
+The brute-force ones evaluate definitions literally and exhaustively;
+none of them shares code paths with the library implementations they
+check. The ``reference_*`` ones keep the plainer implementation that an
+optimised function replaced; they share with it only the public
+constructors, whose checks they rely on, and helpers it did not change.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
+import re
+from datetime import datetime, timezone
 
+from trailnet.eventlog import CSV_HEADER, Event, EventLog, LogError, LogParseError, Trace
 from trailnet.petri import TraceGenerationResult, enabled, fire, initial_marking
 from trailnet.relations import FootprintMatrix, Relation
+from trailnet.reviews import (
+    RecordError,
+    RecordParseError,
+    ReviewRecord,
+    TraceLog,
+    _group_records,
+    _verb_for,
+)
 
 
 def naive_relation(sequences, a, b) -> Relation:
@@ -102,3 +119,137 @@ def reference_generate_traces(net, max_length: int, max_traces: int) -> TraceGen
         for transition in sorted(fireable, reverse=True):
             stack.append((fire(net, marking, transition), sequence + (transition,)))
     return TraceGenerationResult(frozenset(found), complete)
+
+
+# Ingest as it was before it built events, traces and records through
+# trusted constructors: every value goes through the public constructors
+# and their checks, and timestamps through datetime(...).
+
+_TIMESTAMP_FIELDS = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
+
+
+def reference_parse_timestamp(text: str) -> datetime:
+    match = _TIMESTAMP_FIELDS.fullmatch(text)
+    if match is not None:
+        year, month, day, hour, minute, second = match.groups()
+        try:
+            return datetime(
+                int(year), int(month), int(day), int(hour), int(minute), int(second),
+                tzinfo=timezone.utc,
+            )
+        except ValueError:  # a field out of range, e.g. month 13 or February 30
+            pass
+    raise LogError(f"bad timestamp {text!r}, expected YYYY-MM-DDThh:mm:ssZ")
+
+
+def _reference_rows(reader):
+    # Malformed CSV (an over-long field, say) is a parse error like any other.
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise LogParseError(str(exc), reader.line_num) from None
+
+
+def reference_parse_csv_log(source) -> EventLog:
+    text = source.read() if hasattr(source, "read") else source
+    reader = csv.reader(io.StringIO(text.lstrip("\ufeff"), newline=""))
+    rows = _reference_rows(reader)
+    header = next(rows, None)
+    if header is None:
+        raise LogParseError("missing header row")
+    if tuple(header) != CSV_HEADER:
+        raise LogParseError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}", 1)
+
+    cases: dict[str, list[tuple[Event, int]]] = {}
+    for row in rows:
+        line = reader.line_num
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise LogParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}", line)
+        case_id, activity, originator, stamp = row
+        if not case_id:
+            raise LogParseError("empty case_id", line)
+        if not activity:
+            raise LogParseError("empty activity", line)
+        try:
+            timestamp = reference_parse_timestamp(stamp) if stamp else None
+        except LogError as exc:
+            raise LogParseError(str(exc), line) from None
+        event = Event(activity, originator=originator or None, timestamp=timestamp)
+        cases.setdefault(case_id, []).append((event, line))
+
+    traces = []
+    for case_id, rows in cases.items():
+        stamped = [line for event, line in rows if event.timestamp is not None]
+        if stamped and len(stamped) != len(rows):
+            missing = next(line for event, line in rows if event.timestamp is None)
+            raise LogParseError(f"case {case_id!r} mixes timestamped and untimestamped rows", missing)
+        events = [event for event, _ in rows]
+        if stamped:
+            events.sort(key=lambda e: e.timestamp)  # stable: ties keep file order
+        traces.append(Trace(case_id, tuple(events)))
+    return EventLog(tuple(traces))
+
+
+_REQUIRED_FIELDS = ("artifact_id", "submitter", "reviewer", "comment", "timestamp")
+
+
+def reference_parse_records_jsonl(text: str) -> list[ReviewRecord]:
+    records = []
+    # Lines end at \r\n, \r or \n only; str.splitlines would also split at
+    # U+2028 and the other separators that a JSON string may hold unescaped.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RecordParseError(f"invalid JSON: {exc.msg}", line_no) from None
+        except RecursionError:
+            raise RecordParseError("invalid JSON: nested too deeply", line_no) from None
+        if not isinstance(payload, dict):
+            raise RecordParseError("record is not a JSON object", line_no)
+        missing = [f for f in _REQUIRED_FIELDS if f not in payload]
+        if missing:
+            raise RecordParseError(f"missing fields: {', '.join(missing)}", line_no)
+        values = {f: payload[f] for f in _REQUIRED_FIELDS}
+        if not all(isinstance(v, str) for v in values.values()):
+            raise RecordParseError("record fields must be strings", line_no)
+        for optional in ("thread_id", "topic"):
+            value = payload.get(optional)
+            if value is not None and not isinstance(value, str):
+                raise RecordParseError(f"{optional} must be a string when present", line_no)
+            values[optional] = value or None
+        try:
+            values["timestamp"] = reference_parse_timestamp(values["timestamp"])
+            records.append(ReviewRecord(**values))
+        except (LogError, RecordError) as exc:
+            raise RecordParseError(str(exc), line_no) from None
+    return records
+
+
+def reference_build_log(records, strategy, verb_map=None, window=None) -> TraceLog:
+    records = list(records)
+    if not records:
+        raise RecordError("no records to build a log from")
+    cases = _group_records(records, strategy)
+    traces = []
+    for case_id in sorted(cases):
+        ordered = sorted(cases[case_id], key=lambda r: r.timestamp)  # stable
+        opener = ordered[0].reviewer
+        events = tuple(
+            Event(
+                activity="%s:%s" % (
+                    _verb_for(record.comment, verb_map),
+                    "initiator" if record.reviewer == opener else "responder",
+                ),
+                originator=record.reviewer,
+                timestamp=record.timestamp,
+            )
+            for record in ordered
+        )
+        traces.append(Trace(case_id, events))
+    log = EventLog(tuple(traces))
+    return TraceLog(log, strategy.label, len(records), window)

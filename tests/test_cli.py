@@ -570,6 +570,17 @@ class TestErrors:
         assert not any(Path(str(prefix) + suffix).exists() for suffix in outputs)
         assert list(out_dir.iterdir()) == []
 
+    def test_nul_in_a_name_exits_or_reports_one_line(self, tmp_path, capsys):
+        # Python 3.10's csv.writer cannot write a NUL; 3.11 on writes it bare.
+        path = tmp_path / "records.jsonl"
+        path.write_text(_record_line("X", "a\u0000b", "2012-05-03T12:00:00Z") + "\n", encoding="utf-8")
+        code = main(["build-log", "--input", str(path), "--output", str(tmp_path / "log.csv"), "--strategy", "artifact"])
+        if code == 0:
+            assert capsys.readouterr().err == ""
+        else:
+            assert code == 1
+            assert _stderr_payload(capsys)["code"] == 1
+
     @pytest.mark.parametrize(
         "text",
         ['{"places": []}', '{"places": "io", "transitions": [], "arcs": [], "source": "i", "sink": "o"}'],

@@ -1,0 +1,226 @@
+"""Ingest against its reference: the CSV and JSONL parsers and ``build_log``
+return what the plainer implementations in ``tests/oracles.py`` return, or
+fail with the same error, and every object they build equals the one the
+public constructor builds from the same fields."""
+
+from __future__ import annotations
+
+import json
+from datetime import datetime, timedelta, timezone
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from trailnet.eventlog import Event, Trace, parse_csv_log
+from trailnet.reviews import (
+    ByArtifact,
+    ByCommit,
+    ByThread,
+    ByTopic,
+    ReviewRecord,
+    build_log,
+    parse_records_jsonl,
+)
+
+from .oracles import reference_build_log, reference_parse_csv_log, reference_parse_records_jsonl
+from .test_cli import _CSV_TEXT, _JSON, _RECORDS_TEXT, _lines
+
+UTC = timezone.utc
+HEADER = "case_id,activity,originator,timestamp"
+
+_GOOD_STAMPS = ["2012-05-03T12:00:00Z", "2012-05-03T11:00:00Z", "2012-02-29T23:59:59Z"]
+# Stamps of the wrong shape, then stamps of the right shape with a field
+# out of range.
+_BAD_STAMPS = [
+    "2012-5-3T8:0:0Z",
+    " 2012-05-03T12:00:00Z",
+    "2012-05-03T12:00:00+00:00",
+    "2012-13-03T12:00:00Z",
+    "2011-02-29T00:00:00Z",
+    "2012-05-03T24:00:00Z",
+    "0000-01-01T00:00:00Z",
+]
+
+
+def _csv_cell(cell: str) -> str:
+    return '"%s"' % cell.replace('"', '""') if '"' in cell or "," in cell else cell
+
+
+@st.composite
+def _row(draw, stamps):
+    """A log CSV row stamped from ``stamps``; one row in eight has a flaw:
+    an empty key, a stamp that is bad or breaks the case's stamping, or an
+    extra field."""
+    row = [
+        draw(st.sampled_from(["1", "2", "3"])),
+        draw(st.sampled_from(["A", "B", 'q"', "x,y"])),
+        draw(st.sampled_from(["", "u", "v"])),
+        draw(st.sampled_from(stamps)),
+    ]
+    if draw(st.integers(0, 7)) == 0:
+        flaw = draw(st.sampled_from(["case_id", "activity", "stamp", "stamp", "stamp", "extra"]))
+        if flaw == "extra":
+            row.append("extra")
+        elif flaw == "stamp":
+            row[3] = draw(st.sampled_from(["", _GOOD_STAMPS[0]] * 3 + _BAD_STAMPS))
+        else:
+            row[0 if flaw == "case_id" else 1] = ""
+    return ",".join(_csv_cell(c) for c in row)
+
+
+@st.composite
+def _csv_texts(draw):
+    """Mostly well-formed log CSV: a header (sometimes after a BOM, or
+    wrong), stamped or unstamped rows with a few flaws, blank or arbitrary
+    lines, and either line end."""
+    header = draw(st.sampled_from([HEADER] * 12 + ["\ufeff" + HEADER, " " + HEADER, "case_id,activity"]))
+    stamps = draw(st.sampled_from([[""], _GOOD_STAMPS]))
+    text = draw(_lines(_row(stamps), header=[header]))
+    return text.replace("\n", draw(st.sampled_from(["\n", "\r\n"]))) + draw(st.sampled_from(["", "\n"]))
+
+
+_RECORD = st.fixed_dictionaries(
+    {
+        "artifact_id": st.sampled_from(["X", "Y"]),
+        "submitter": st.sampled_from(["sam", "kim", ""]),
+        "reviewer": st.sampled_from(["r1", "r2"]),
+        "comment": st.sampled_from(["ok", "revert this", ""]),
+        "timestamp": st.sampled_from(_GOOD_STAMPS),
+    },
+    optional={"thread_id": st.sampled_from(["t1", ""]), "topic": st.sampled_from(["x", ""])},
+)
+
+
+@st.composite
+def _jsonl_line(draw):
+    """One record line; one line in ten has a flaw: an empty or bad field,
+    a field of another JSON type, a missing field, or text before or after
+    the object."""
+    record = draw(_RECORD)
+    flaw = draw(st.integers(0, 59))
+    if flaw == 0:
+        record[draw(st.sampled_from(["artifact_id", "reviewer"]))] = ""
+    elif flaw == 1:
+        record["timestamp"] = draw(st.sampled_from(_BAD_STAMPS))
+    elif flaw == 2:
+        record[draw(st.sampled_from(sorted(record)))] = draw(_JSON)
+    elif flaw == 3:
+        del record[draw(st.sampled_from(sorted(record)))]
+    line = json.dumps(record)
+    if flaw == 4:
+        line = draw(st.sampled_from([" ", "\t", "\ufeff", "\x0c"])) + line
+    elif flaw == 5:
+        line += draw(st.sampled_from([" ", "\t ", " x", "}", ",{}", "{}", "\x0c", "\u2028"]))
+    return line
+
+
+_JSONL_TEXT = _lines(_jsonl_line()).map(lambda text: text + "\n")
+
+
+def _outcome(parse, *args):
+    """What a call returns, or the type, message and line of the error it raises."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _assert_built_as_public(log):
+    for trace in log.traces:
+        events = tuple(Event(e.activity, originator=e.originator, timestamp=e.timestamp) for e in trace.events)
+        assert events == trace.events
+        assert Trace(trace.case_id, events) == trace
+        assert all(e.timestamp is None or e.timestamp.tzinfo is UTC for e in trace.events)
+
+
+class TestParseCsvLog:
+    @settings(max_examples=300)
+    @given(st.one_of(_CSV_TEXT, _csv_texts(), st.text(max_size=40)))
+    @example(HEADER + "\n1,A,,2012-05-03T12:00:00Z\n1,B,,\n1,C,,2012-13-03T12:00:00Z\n")
+    @example(HEADER + "\n1,A,,\n2,B,,2012-05-03T12:00:00Z\n1,C,,2012-05-03T12:00:00Z\n")
+    @example("\ufeff" + HEADER + "\n1,B,,2012-05-03T12:00:01Z\n1,A,,2012-05-03T12:00:00Z\n")
+    def test_matches_reference(self, text):
+        assert _outcome(parse_csv_log, text) == _outcome(reference_parse_csv_log, text)
+
+    @given(_csv_texts())
+    def test_builds_what_the_public_constructors_build(self, text):
+        result = _outcome(parse_csv_log, text)
+        if not isinstance(result, tuple):
+            _assert_built_as_public(result)
+
+
+class TestParseRecordsJsonl:
+    @settings(max_examples=300)
+    @given(st.one_of(_RECORDS_TEXT, _JSONL_TEXT, st.text(max_size=40)))
+    @example('  {"artifact_id": "X", "submitter": "s", "reviewer": "r", "comment": "", "timestamp": "2012-05-03T12:00:00Z"}')
+    @example('\ufeff{"artifact_id": "X"}')
+    @example('{"artifact_id": "X", "submitter": "s", "reviewer": "r", "comment": "", "timestamp": "2012-05-03T12:00:00Z"} x')
+    @example('{"artifact_id": "X", "submitter": 1, "reviewer": "r", "comment": "", "timestamp": "2012-05-03T12:00:00Z"}')
+    @example('{"artifact_id": "", "submitter": "s", "reviewer": "", "comment": "", "timestamp": "2012-02-30T12:00:00Z"}')
+    @example('[1] ]')
+    @example('{"p": [{}')
+    def test_matches_reference(self, text):
+        assert _outcome(parse_records_jsonl, text) == _outcome(reference_parse_records_jsonl, text)
+
+    @given(_JSONL_TEXT)
+    def test_builds_what_the_public_constructor_builds(self, text):
+        result = _outcome(parse_records_jsonl, text)
+        if isinstance(result, tuple):
+            return
+        for r in result:
+            assert ReviewRecord(r.artifact_id, r.submitter, r.reviewer, r.comment, r.timestamp, r.thread_id, r.topic) == r
+            assert r.timestamp.tzinfo is UTC
+
+
+_T0 = datetime(2012, 5, 3, 12, 0, 0, tzinfo=UTC)
+_REVIEW_RECORD = st.builds(
+    ReviewRecord,
+    artifact_id=st.sampled_from(["X", "Y"]),
+    submitter=st.sampled_from(["sam", "kim", ""]),
+    reviewer=st.sampled_from(["r1", "r2", "r3"]),
+    comment=st.sampled_from(["ok", "Revert this", "nit: fix"]),
+    # Few distinct instants, so that cases hold timestamp ties.
+    timestamp=st.sampled_from([0, 30, 60, 7200]).map(lambda s: _T0 + timedelta(seconds=s)),
+    thread_id=st.sampled_from([None, "t1", "t2"]),
+    topic=st.sampled_from([None, "perf"]),
+)
+_STRATEGY = st.one_of(
+    st.builds(ByArtifact),
+    st.builds(ByThread),
+    st.builds(ByTopic),
+    st.sampled_from([0, 30, 3600]).map(lambda s: ByCommit(timedelta(seconds=s))),
+)
+_VERB_MAP = st.none() | st.dictionaries(st.sampled_from(["revert", "NIT", "ok"]), st.sampled_from(["undo", "style"]))
+
+
+class TestBuildLog:
+    @given(st.lists(_REVIEW_RECORD, max_size=8), _STRATEGY, _VERB_MAP)
+    def test_matches_reference(self, records, strategy, verb_map):
+        assert _outcome(build_log, records, strategy, verb_map) == _outcome(
+            reference_build_log, records, strategy, verb_map
+        )
+
+    @given(st.lists(_REVIEW_RECORD, min_size=1, max_size=8), _STRATEGY, _VERB_MAP)
+    def test_builds_what_the_public_constructors_build(self, records, strategy, verb_map):
+        result = _outcome(build_log, records, strategy, verb_map)
+        if not isinstance(result, tuple):
+            _assert_built_as_public(result.log)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Event("a", originator="o", timestamp=datetime(2012, 5, 3, tzinfo=UTC)),
+        Trace("c", (Event("a"),)),
+        ReviewRecord("X", "s", "r", "ok", datetime(2012, 5, 3, tzinfo=UTC)),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_slotted_types_have_no_instance_dict(value):
+    """Each instance holds its fields in slots, not in a per-instance dict."""
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(TypeError):
+        vars(value)
+    with pytest.raises(AttributeError):
+        object.__setattr__(value, "extra", 1)
+
