@@ -1,9 +1,10 @@
 """Event-log data model and its CSV interchange format.
 
-A log is a sequence of cases; each case holds its case id, once, and an
-ordered sequence of activity executions, optionally attributed to an
-originator and stamped with a UTC instant. Activity names are compared
-byte-exact, never folded.
+A log is a sequence of cases. A case, a :class:`Trace`, holds its case
+id once and its ordered activity executions as three equal-length
+columns: the activity names, their originators (a name or None) and their
+UTC instants (all None when the case is unstamped). Activity names are
+compared byte-exact, never folded.
 Miners read a log through one sequence view, its variant table: each
 distinct activity sequence with the number of cases that follow it.
 """
@@ -14,10 +15,10 @@ import csv
 import io
 import re
 from collections import Counter
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from operator import attrgetter
+from operator import itemgetter
 from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -58,7 +59,11 @@ def parse_timestamp(text: str) -> datetime:
 
 def format_timestamp(instant: datetime) -> str:
     """Render a timestamp in the interchange format, converting to UTC."""
-    t = _normalize_timestamp(instant)
+    return _stamp_text(_normalize_timestamp(instant))
+
+
+def _stamp_text(t: datetime) -> str:
+    """:func:`format_timestamp` of a datetime that is already whole-second UTC."""
     return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (t.year, t.month, t.day, t.hour, t.minute, t.second)
 
 
@@ -75,79 +80,60 @@ def _normalize_timestamp(instant: datetime) -> datetime:
 
 
 @dataclass(frozen=True, slots=True)
-class Event:
-    """One activity execution; the case it belongs to is its :class:`Trace`."""
-
-    activity: str
-    _: KW_ONLY
-    originator: str | None = None
-    timestamp: datetime | None = None
-
-    def __post_init__(self):
-        if not self.activity:
-            raise LogError("event has empty activity")
-        if not self.originator:
-            object.__setattr__(self, "originator", None)
-        if self.timestamp is not None:
-            object.__setattr__(self, "timestamp", _normalize_timestamp(self.timestamp))
-
-
-@dataclass(frozen=True, slots=True)
 class Trace:
-    """The event sequence of one case.
+    """One case: its id and its events as three equal-length columns.
 
+    An activity is non-empty; an originator is a non-empty name or None.
     Either every event carries a timestamp (non-decreasing along the
     sequence) or none does; ordering then comes from the input.
     """
 
     case_id: str
-    events: tuple[Event, ...]
+    activities: tuple[str, ...]
+    originators: tuple[str | None, ...]
+    timestamps: tuple[datetime | None, ...]
 
     def __post_init__(self):
         case_id = self.case_id
         if not case_id:
             raise LogError("trace has empty case_id")
-        events = tuple(self.events)
-        object.__setattr__(self, "events", events)
-        if not events:
+        activities = tuple(self.activities)
+        originators = tuple(o or None for o in self.originators)
+        timestamps = list(self.timestamps)
+        if not len(activities) == len(originators) == len(timestamps):
+            raise LogError(f"case {case_id!r} has columns of unequal length")
+        if not activities:
             raise LogError(f"case {case_id!r} has no events")
-        # One pass over the events; the first violation along the sequence is reported.
-        previous = events[0].timestamp
-        stamped = previous is not None
-        for event in events:
-            stamp = event.timestamp
+        # One pass along the events; the first violation is reported.
+        stamped = timestamps[0] is not None
+        for i, (activity, stamp) in enumerate(zip(activities, timestamps)):
+            if not activity:
+                raise LogError("event has empty activity")
             if (stamp is not None) is not stamped:
                 raise LogError(f"case {case_id!r} mixes timestamped and untimestamped events")
-            if stamped and stamp < previous:
-                raise LogError(f"case {case_id!r} events are not in timestamp order")
-            previous = stamp
-
-    @property
-    def activities(self) -> tuple[str, ...]:
-        return tuple(e.activity for e in self.events)
-
-
-# The trusted constructors: parse_csv_log and build_log call them only
-# after checking every field themselves, so that each value is validated
-# once. Every other caller goes through the public classes.
+            if stamped:
+                stamp = timestamps[i] = _normalize_timestamp(stamp)
+                if i and stamp < timestamps[i - 1]:
+                    raise LogError(f"case {case_id!r} events are not in timestamp order")
+        object.__setattr__(self, "activities", activities)
+        object.__setattr__(self, "originators", originators)
+        object.__setattr__(self, "timestamps", tuple(timestamps))
 
 
-def _event(activity: str, originator: str | None, timestamp: datetime | None) -> Event:
-    """An :class:`Event` whose activity is non-empty, originator non-empty or
-    None, and timestamp None or a whole-second datetime in ``timezone.utc``."""
-    event = object.__new__(Event)
-    object.__setattr__(event, "activity", activity)
-    object.__setattr__(event, "originator", originator)
-    object.__setattr__(event, "timestamp", timestamp)
-    return event
-
-
-def _trace(case_id: str, events: tuple[Event, ...]) -> Trace:
-    """A :class:`Trace` with a non-empty case id and a non-empty tuple of
-    events that are either all untimestamped or all in timestamp order."""
+def _trace(
+    case_id: str,
+    activities: tuple[str, ...],
+    originators: tuple[str | None, ...],
+    timestamps: tuple[datetime | None, ...],
+) -> Trace:
+    """A :class:`Trace` whose fields :func:`parse_csv_log` or ``build_log``
+    has checked, with whole-second ``timezone.utc`` timestamps. Every
+    other caller goes through the public class."""
     trace = object.__new__(Trace)
     object.__setattr__(trace, "case_id", case_id)
-    object.__setattr__(trace, "events", events)
+    object.__setattr__(trace, "activities", activities)
+    object.__setattr__(trace, "originators", originators)
+    object.__setattr__(trace, "timestamps", timestamps)
     return trace
 
 
@@ -187,7 +173,8 @@ def log_from_sequences(sequences: Iterable[Sequence[str]]) -> EventLog:
     """Build a bare log from activity sequences, in cases ``c1``, ``c2``, ..."""
     traces = []
     for i, seq in enumerate(sequences, start=1):
-        traces.append(Trace(f"c{i}", tuple(Event(a) for a in seq)))
+        none = (None,) * len(seq)
+        traces.append(Trace(f"c{i}", tuple(seq), none, none))
     return EventLog(tuple(traces))
 
 
@@ -197,7 +184,6 @@ def _rows(reader) -> Iterator[list[str]]:
         yield from reader
     except csv.Error as exc:
         raise LogParseError(str(exc), reader.line_num) from None
-
 
 
 def parse_csv_log(source: str | TextIO) -> EventLog:
@@ -217,7 +203,8 @@ def parse_csv_log(source: str | TextIO) -> EventLog:
     if tuple(header) != CSV_HEADER:
         raise LogParseError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}", 1)
 
-    cases: dict[str, list[Event]] = {}
+    # case id -> its events as (activity, originator, timestamp), in file order
+    cases: dict[str, list[tuple[str, str | None, datetime | None]]] = {}
     unstamped: dict[str, int] = {}  # case id -> line of its first row without a timestamp
     for row in rows:
         if not row:
@@ -240,20 +227,22 @@ def parse_csv_log(source: str | TextIO) -> EventLog:
         events = cases.get(case_id)
         if events is None:
             events = cases[case_id] = []
-        events.append(_event(activity, originator or None, timestamp))
+        events.append((activity, originator or None, timestamp))
 
     traces = []
     for case_id, events in cases.items():
         line = unstamped.get(case_id)
         if line is None:
-            events.sort(key=attrgetter("timestamp"))  # stable: ties keep file order
-        elif any(event.timestamp is not None for event in events):
+            events.sort(key=itemgetter(2))  # stable: ties keep file order
+        activities, originators, timestamps = zip(*events)
+        events.clear()  # the rows' tuples go now, not when the whole log is built
+        if line is not None and any(timestamps):
             raise LogParseError(f"case {case_id!r} mixes timestamped and untimestamped rows", line)
-        traces.append(_trace(case_id, tuple(events)))
+        traces.append(_trace(case_id, activities, originators, timestamps))
     return EventLog(tuple(traces))
 
 
-def _csv_text(rows: Iterable[Sequence[str]]) -> str:
+def _csv_text(rows: Iterable[Sequence[str | None]]) -> str:
     """The rows as CSV with ``\\n`` line ends, quoting a field that holds a
     comma, a quote, ``\\n`` or ``\\r``.
 
@@ -274,11 +263,17 @@ def _csv_text(rows: Iterable[Sequence[str]]) -> str:
 def serialize_csv_log(log: EventLog) -> str:
     """Canonical CSV rendering: exact header, ``\\n`` line endings."""
 
-    def rows() -> Iterator[Sequence[str]]:
+    def rows() -> Iterator[Sequence[str | None]]:
         yield CSV_HEADER
         for trace in log.traces:
-            for event in trace.events:
-                stamp = format_timestamp(event.timestamp) if event.timestamp else ""
-                yield (trace.case_id, event.activity, event.originator or "", stamp)
+            case_id, originators, stamps = trace.case_id, trace.originators, trace.timestamps
+            # A running index rather than zip(): a trace is often one or two
+            # events, and zip's three iterators then cost more than its rows.
+            i = 0
+            for activity in trace.activities:
+                stamp = stamps[i]
+                # The writer writes None as an empty field.
+                yield (case_id, activity, originators[i], stamp and _stamp_text(stamp))
+                i += 1
 
     return _csv_text(rows())

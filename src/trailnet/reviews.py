@@ -19,7 +19,6 @@ from .eventlog import (
     LogError,
     format_timestamp,
     parse_timestamp,
-    _event,
     _normalize_timestamp,
     _trace,
 )
@@ -188,14 +187,18 @@ def _group_records(
     return cases
 
 
-
-def _verb_for(comment: str, verb_map: Mapping[str, str] | None) -> str:
-    if verb_map:
+def _verb_for(comment: str, keywords: Sequence[tuple[str, str]]) -> str:
+    """The verb of the first keyword, in ``keywords``' order, that ``comment``
+    holds, ignoring case; ``keywords`` are (lower-cased keyword, verb) pairs."""
+    if keywords:
         lowered = comment.lower()
-        for keyword in sorted(verb_map):
-            if keyword.lower() in lowered:
-                return verb_map[keyword]
+        for keyword, verb in keywords:
+            if keyword in lowered:
+                return verb
     return DEFAULT_VERB
+
+
+_timestamp = attrgetter("timestamp")
 
 
 def build_log(
@@ -210,32 +213,28 @@ def build_log(
     input order) is the initiator for all their comments there; every
     other reviewer is a responder. Activity names read ``verb:role``
     where the verb is ``review`` unless a ``verb_map`` keyword matches
-    the comment text. Output traces are ordered by case id, so identical
-    inputs serialize byte-identically.
+    the comment text (the first match in sorted keyword order, ignoring
+    case). Output traces are ordered by case id, so identical inputs
+    serialize byte-identically.
     """
     records = list(records)
     if not records:
         raise RecordError("no records to build a log from")
     cases = _group_records(records, strategy)
+    keywords = [(keyword.lower(), verb_map[keyword]) for keyword in sorted(verb_map or ())]
     traces = []
     # A record's reviewer is non-empty and its timestamp whole-second UTC, and
-    # every case is non-empty with a non-empty key: the events and traces
-    # below need no further checks.
+    # every case is non-empty with a non-empty key: the traces below need no
+    # further checks.
     for case_id in sorted(cases):
-        ordered = sorted(cases[case_id], key=attrgetter("timestamp"))  # stable
+        ordered = sorted(cases[case_id], key=_timestamp)  # stable
         opener = ordered[0].reviewer
-        events = tuple(
-            _event(
-                "%s:%s" % (
-                    _verb_for(record.comment, verb_map),
-                    "initiator" if record.reviewer == opener else "responder",
-                ),
-                record.reviewer,
-                record.timestamp,
-            )
-            for record in ordered
-        )
-        traces.append(_trace(case_id, events))
+        activities, reviewers, timestamps = zip(*[
+            (_verb_for(r.comment, keywords) + (":initiator" if r.reviewer == opener else ":responder"),
+             r.reviewer, r.timestamp)
+            for r in ordered
+        ])
+        traces.append(_trace(case_id, activities, reviewers, timestamps))
     log = EventLog(tuple(traces))
     return TraceLog(log, strategy.label, len(records), window)
 
@@ -249,10 +248,9 @@ def durations(log: TraceLog | EventLog) -> dict[str, list[timedelta]]:
     event_log = log.log if isinstance(log, TraceLog) else log
     gaps: dict[str, list[timedelta]] = {}
     for trace in event_log.traces:
-        for event in trace.events:
-            if event.timestamp is None:
-                raise LogError(f"case {trace.case_id!r} has an untimestamped event")
-        stamps = [e.timestamp for e in trace.events]
+        stamps = trace.timestamps
+        if None in stamps:
+            raise LogError(f"case {trace.case_id!r} has an untimestamped event")
         gaps[trace.case_id] = [b - a for a, b in zip(stamps, stamps[1:])]
     return gaps
 

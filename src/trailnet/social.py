@@ -39,13 +39,12 @@ def handover_of_work(log: EventLog) -> SocialGraph:
     nodes: set[str] = set()
     edges: Counter[tuple[str, str]] = Counter()
     for trace in log.traces:
-        for event in trace.events:
-            if event.originator is None:
-                raise LogError(
-                    f"case {trace.case_id!r} has an event without originator"
-                )
-            nodes.add(event.originator)
-        people = [e.originator for e in trace.events]
+        people = trace.originators
+        if None in people:
+            raise LogError(
+                f"case {trace.case_id!r} has an event without originator"
+            )
+        nodes.update(people)
         for tail, head in zip(people, people[1:]):
             if tail != head:
                 edges[(tail, head)] += 1

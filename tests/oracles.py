@@ -15,17 +15,18 @@ import itertools
 import json
 import re
 from datetime import datetime, timezone
+from typing import Mapping
 
-from trailnet.eventlog import CSV_HEADER, Event, EventLog, LogError, LogParseError, Trace
+from trailnet.eventlog import CSV_HEADER, EventLog, LogError, LogParseError, Trace
 from trailnet.petri import TraceGenerationResult, enabled, fire, initial_marking
 from trailnet.relations import FootprintMatrix, Relation
 from trailnet.reviews import (
+    DEFAULT_VERB,
     RecordError,
     RecordParseError,
     ReviewRecord,
     TraceLog,
     _group_records,
-    _verb_for,
 )
 
 
@@ -121,9 +122,10 @@ def reference_generate_traces(net, max_length: int, max_traces: int) -> TraceGen
     return TraceGenerationResult(frozenset(found), complete)
 
 
-# Ingest as it was before it built events, traces and records through
-# trusted constructors: every value goes through the public constructors
-# and their checks, and timestamps through datetime(...).
+# Ingest as it was before it built traces and records through trusted
+# constructors: every value goes through the public constructors and
+# their checks, and timestamps through datetime(...). build_log's verb
+# lookup is the one that lowered and sorted the keywords for every record.
 
 _TIMESTAMP_FIELDS = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
 
@@ -160,7 +162,8 @@ def reference_parse_csv_log(source) -> EventLog:
     if tuple(header) != CSV_HEADER:
         raise LogParseError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}", 1)
 
-    cases: dict[str, list[tuple[Event, int]]] = {}
+    # case id -> its events as (activity, originator, timestamp, line)
+    cases: dict[str, list[tuple[str, str | None, datetime | None, int]]] = {}
     for row in rows:
         line = reader.line_num
         if not row:
@@ -176,19 +179,24 @@ def reference_parse_csv_log(source) -> EventLog:
             timestamp = reference_parse_timestamp(stamp) if stamp else None
         except LogError as exc:
             raise LogParseError(str(exc), line) from None
-        event = Event(activity, originator=originator or None, timestamp=timestamp)
-        cases.setdefault(case_id, []).append((event, line))
+        cases.setdefault(case_id, []).append((activity, originator, timestamp, line))
 
     traces = []
     for case_id, rows in cases.items():
-        stamped = [line for event, line in rows if event.timestamp is not None]
+        stamped = [line for _, _, timestamp, line in rows if timestamp is not None]
         if stamped and len(stamped) != len(rows):
-            missing = next(line for event, line in rows if event.timestamp is None)
+            missing = next(line for _, _, timestamp, line in rows if timestamp is None)
             raise LogParseError(f"case {case_id!r} mixes timestamped and untimestamped rows", missing)
-        events = [event for event, _ in rows]
         if stamped:
-            events.sort(key=lambda e: e.timestamp)  # stable: ties keep file order
-        traces.append(Trace(case_id, tuple(events)))
+            rows = sorted(rows, key=lambda r: r[2])  # stable: ties keep file order
+        traces.append(
+            Trace(
+                case_id,
+                tuple(activity for activity, _, _, _ in rows),
+                tuple(originator for _, originator, _, _ in rows),
+                tuple(timestamp for _, _, timestamp, _ in rows),
+            )
+        )
     return EventLog(tuple(traces))
 
 
@@ -230,6 +238,15 @@ def reference_parse_records_jsonl(text: str) -> list[ReviewRecord]:
     return records
 
 
+def _verb_for(comment: str, verb_map: Mapping[str, str] | None) -> str:
+    if verb_map:
+        lowered = comment.lower()
+        for keyword in sorted(verb_map):
+            if keyword.lower() in lowered:
+                return verb_map[keyword]
+    return DEFAULT_VERB
+
+
 def reference_build_log(records, strategy, verb_map=None, window=None) -> TraceLog:
     records = list(records)
     if not records:
@@ -239,17 +256,15 @@ def reference_build_log(records, strategy, verb_map=None, window=None) -> TraceL
     for case_id in sorted(cases):
         ordered = sorted(cases[case_id], key=lambda r: r.timestamp)  # stable
         opener = ordered[0].reviewer
-        events = tuple(
-            Event(
-                activity="%s:%s" % (
-                    _verb_for(record.comment, verb_map),
-                    "initiator" if record.reviewer == opener else "responder",
-                ),
-                originator=record.reviewer,
-                timestamp=record.timestamp,
+        activities = tuple(
+            "%s:%s" % (
+                _verb_for(record.comment, verb_map),
+                "initiator" if record.reviewer == opener else "responder",
             )
             for record in ordered
         )
-        traces.append(Trace(case_id, events))
+        originators = tuple(record.reviewer for record in ordered)
+        timestamps = tuple(record.timestamp for record in ordered)
+        traces.append(Trace(case_id, activities, originators, timestamps))
     log = EventLog(tuple(traces))
     return TraceLog(log, strategy.label, len(records), window)

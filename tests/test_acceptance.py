@@ -130,14 +130,15 @@ def test_criterion_6_review_log_contract():
     trace_log = build_log(records, ByArtifact())
 
     assert len(trace_log.log.traces) == cases
-    assert sum(len(t.events) for t in trace_log.log.traces) == len(records)
+    assert sum(len(t.activities) for t in trace_log.log.traces) == len(records)
 
     openers = {}
     for rec in sorted(records, key=lambda r: r.timestamp):
         openers.setdefault(rec.artifact_id, rec.reviewer)
     for trace in trace_log.log.traces:
-        initiators = {e.originator for e in trace.events if e.activity.endswith(":initiator")}
-        responders = {e.originator for e in trace.events if e.activity.endswith(":responder")}
+        events = list(zip(trace.activities, trace.originators))
+        initiators = {o for a, o in events if a.endswith(":initiator")}
+        responders = {o for a, o in events if a.endswith(":responder")}
         assert initiators == {openers[trace.case_id]}
         assert openers[trace.case_id] not in responders
 
@@ -156,8 +157,8 @@ def test_criterion_7_social_graph_conservation():
         expected_handover = sum(
             1
             for trace in log.traces
-            for a, b in zip(trace.events, trace.events[1:])
-            if a.originator != b.originator
+            for a, b in zip(trace.originators, trace.originators[1:])
+            if a != b
         )
         assert sum(handover.edges.values()) == expected_handover
 

@@ -90,7 +90,7 @@ class TestBuildLog:
         )
         assert code == 0
         log = parse_csv_log(out.read_text(encoding="utf-8"))
-        assert sum(len(t.events) for t in log.traces) == 3
+        assert sum(len(t.activities) for t in log.traces) == 3
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text(encoding="utf-8"))
         assert meta["window"] == ["2012-05-03T00:00:00Z", "2012-07-19T23:59:59Z"]
         assert meta["record_count"] == 3

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from trailnet.eventlog import (
-    Event,
     EventLog,
     LogError,
     LogParseError,
@@ -51,16 +50,17 @@ def event_logs(draw):
             stamps = sorted(draw(st.lists(_instant, min_size=length, max_size=length)))
         else:
             stamps = [None] * length
-        traces.append(
-            Trace(
-                case_id,
-                tuple(
-                    Event(a, originator=o, timestamp=ts)
-                    for a, o, ts in zip(activities, originators, stamps)
-                ),
-            )
-        )
+        traces.append(Trace(case_id, tuple(activities), tuple(originators), tuple(stamps)))
     return EventLog(tuple(traces))
+
+
+def one_event(activity="a", originator=None, timestamp=None, case_id="c") -> Trace:
+    return Trace(case_id, (activity,), (originator,), (timestamp,))
+
+
+def unstamped(case_id, activities, originators=None) -> Trace:
+    none = (None,) * len(activities)
+    return Trace(case_id, tuple(activities), none if originators is None else tuple(originators), none)
 
 
 # Fixed-width timestamp text: every field zero-padded ASCII digits, drawn
@@ -105,9 +105,9 @@ class TestTimestamps:
 
     def test_aware_datetimes_convert_to_utc(self):
         plus_two = timezone(timedelta(hours=2))
-        event = Event("a", timestamp=datetime(2020, 1, 1, 12, 0, 0, tzinfo=plus_two))
-        assert event.timestamp == datetime(2020, 1, 1, 10, 0, 0, tzinfo=UTC)
-        assert event.timestamp.tzinfo is UTC
+        (stamp,) = one_event(timestamp=datetime(2020, 1, 1, 12, 0, 0, tzinfo=plus_two)).timestamps
+        assert stamp == datetime(2020, 1, 1, 10, 0, 0, tzinfo=UTC)
+        assert stamp.tzinfo is UTC
         assert format_timestamp(datetime(2020, 1, 1, 1, 0, 0, tzinfo=plus_two)) == "2019-12-31T23:00:00Z"
 
     @given(_utc_seconds)
@@ -133,51 +133,77 @@ class TestTimestamps:
             assert parse_timestamp(text) == expected
 
     def test_naive_datetimes_count_as_utc(self):
-        event = Event("a", timestamp=datetime(2020, 1, 1, 12, 0, 0))
-        assert event.timestamp == datetime(2020, 1, 1, 12, 0, 0, tzinfo=UTC)
+        trace = one_event(timestamp=datetime(2020, 1, 1, 12, 0, 0))
+        assert trace.timestamps == (datetime(2020, 1, 1, 12, 0, 0, tzinfo=UTC),)
 
     def test_subsecond_precision_rejected(self):
-        with pytest.raises(LogError):
-            Event("a", timestamp=datetime(2020, 1, 1, 12, 0, 0, 500, tzinfo=UTC))
+        with pytest.raises(LogError, match="sub-second"):
+            one_event(timestamp=datetime(2020, 1, 1, 12, 0, 0, 500, tzinfo=UTC))
+        t0 = datetime(2020, 1, 1, tzinfo=UTC)
+        with pytest.raises(LogError, match="sub-second"):
+            Trace("c", ("a", "b"), (None, None), (t0, t0.replace(microsecond=1)))
 
 
 class TestInvariants:
     def test_event_requires_case_and_activity(self):
-        with pytest.raises(LogError):
-            Trace("", (Event("a"),))
-        with pytest.raises(LogError):
-            Event("")
+        with pytest.raises(LogError, match="empty case_id"):
+            one_event(case_id="")
+        with pytest.raises(LogError, match="empty activity"):
+            one_event("")
+        with pytest.raises(LogError, match="empty activity"):
+            unstamped("c", ("a", ""))
 
-    def test_event_takes_only_its_activity_positionally(self):
+    def test_trace_requires_every_column(self):
         with pytest.raises(TypeError):
-            Event("c", "a")
+            Trace("c", ("a",))
+
+    def test_columns_must_have_equal_lengths(self):
+        t0 = datetime(2020, 1, 1, tzinfo=UTC)
+        for activities, originators, stamps in [
+            (("a", "b"), (None,), (None, None)),
+            (("a",), (None,), (t0, t0)),
+            ((), (), (None,)),
+        ]:
+            with pytest.raises(LogError, match="columns of unequal length"):
+                Trace("c", activities, originators, stamps)
+
+    def test_columns_are_stored_as_tuples(self):
+        trace = Trace("c", ["a", "b"], iter(["x", ""]), [None, None])
+        assert trace == unstamped("c", ("a", "b"), ("x", None))
+        assert type(trace.activities) is type(trace.originators) is type(trace.timestamps) is tuple
 
     def test_empty_originator_normalizes_to_none(self):
-        assert Event("a", originator="").originator is None
+        assert one_event(originator="").originators == (None,)
 
     def test_trace_must_be_non_empty(self):
-        with pytest.raises(LogError):
-            Trace("c", ())
+        with pytest.raises(LogError, match="no events"):
+            Trace("c", (), (), ())
 
     def test_trace_rejects_unsorted_timestamps(self):
         t0 = datetime(2020, 1, 1, tzinfo=UTC)
-        events = (Event("a", timestamp=t0 + timedelta(60)), Event("b", timestamp=t0))
-        with pytest.raises(LogError):
-            Trace("c", events)
+        with pytest.raises(LogError, match="not in timestamp order"):
+            Trace("c", ("a", "b"), (None, None), (t0 + timedelta(60), t0))
 
     def test_trace_rejects_mixed_timestamp_presence(self):
-        events = (Event("a", timestamp=datetime(2020, 1, 1, tzinfo=UTC)), Event("b"))
-        with pytest.raises(LogError):
-            Trace("c", events)
+        t0 = datetime(2020, 1, 1, tzinfo=UTC)
+        with pytest.raises(LogError, match="mixes"):
+            Trace("c", ("a", "b"), (None, None), (t0, None))
+        with pytest.raises(LogError, match="mixes"):
+            Trace("c", ("a", "b"), (None, None), (None, t0))
 
     def test_trace_reports_first_violation_along_the_sequence(self):
         t0 = datetime(2020, 1, 1, tzinfo=UTC)
-        events = (Event("a", timestamp=t0), Event("b"), Event("x", timestamp=t0 - timedelta(60)))
+        stamps = (t0, None, t0 - timedelta(60))
         with pytest.raises(LogError, match="mixes"):
-            Trace("c", events)
+            Trace("c", ("a", "b", "x"), (None,) * 3, stamps)
+        stamps = (t0, t0 - timedelta(60), None)
+        with pytest.raises(LogError, match="not in timestamp order"):
+            Trace("c", ("a", "b", "x"), (None,) * 3, stamps)
+        with pytest.raises(LogError, match="empty activity"):
+            Trace("c", ("a", "", "x"), (None,) * 3, stamps)
 
     def test_log_rejects_duplicate_case_ids(self):
-        trace = Trace("c", (Event("a"),))
+        trace = one_event()
         with pytest.raises(LogError):
             EventLog((trace, trace))
 
@@ -233,7 +259,7 @@ class TestParse:
 
     def test_no_event_loss(self):
         log = parse_csv_log(SAMPLE_CSV)
-        assert sum(len(t.events) for t in log.traces) == 11
+        assert sum(len(t.activities) for t in log.traces) == 11
 
     @pytest.mark.parametrize(
         "row,line",
@@ -270,17 +296,20 @@ class TestSerialize:
         assert "\r" not in text
 
     def test_fields_with_separators_round_trip(self):
-        event = Event('say "hi", then', originator="a b", timestamp=None)
-        log = EventLog((Trace("c,1", (event,)),))
+        log = EventLog((one_event('say "hi", then', originator="a b", case_id="c,1"),))
         assert parse_csv_log(serialize_csv_log(log)) == log
 
     @pytest.mark.parametrize("year", [1, 999])
     def test_early_years_round_trip(self, year):
-        event = Event("a", timestamp=datetime(year, 6, 7, 8, 9, 10, tzinfo=UTC))
-        log = EventLog((Trace("c", (event,)),))
+        log = EventLog((one_event(timestamp=datetime(year, 6, 7, 8, 9, 10, tzinfo=UTC)),))
         text = serialize_csv_log(log)
         assert f"{year:04d}-06-07T08:09:10Z" in text
         assert parse_csv_log(text) == log
+
+    @given(_utc_seconds)
+    def test_stamps_are_written_as_format_timestamp_writes_them(self, instant):
+        text = serialize_csv_log(EventLog((one_event(timestamp=instant),)))
+        assert text == f"case_id,activity,originator,timestamp\nc,a,,{format_timestamp(instant)}\n"
 
     @given(event_logs())
     def test_round_trip_identity(self, log):
@@ -294,15 +323,14 @@ class TestSerialize:
     )
     @example(["c"], [("a", "x\ry")])
     def test_line_breaks_and_quotes_round_trip(self, case_ids, events):
-        log = EventLog(
-            tuple(Trace(c, tuple(Event(a, originator=o) for a, o in events)) for c in case_ids)
-        )
+        activities, originators = zip(*events)
+        log = EventLog(tuple(unstamped(c, activities, originators) for c in case_ids))
         text = serialize_csv_log(log)
         assert parse_csv_log(text) == log
         assert serialize_csv_log(parse_csv_log(text)) == text
 
     def test_carriage_return_is_quoted(self):
-        log = EventLog((Trace("c", (Event("a\rb"),)),))
+        log = EventLog((one_event("a\rb"),))
         assert serialize_csv_log(log) == 'case_id,activity,originator,timestamp\nc,"a\rb",,\n'
 
 
@@ -351,4 +379,4 @@ class TestViews:
 
     @given(event_logs())
     def test_alphabet_matches_trace_union(self, log):
-        assert log.alphabet == frozenset(e.activity for t in log.traces for e in t.events)
+        assert log.alphabet == frozenset(a for t in log.traces for a in t.activities)

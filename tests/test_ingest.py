@@ -11,7 +11,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trailnet.eventlog import Event, Trace, parse_csv_log
+from trailnet.eventlog import Trace, parse_csv_log
 from trailnet.reviews import (
     ByArtifact,
     ByCommit,
@@ -127,10 +127,10 @@ def _outcome(parse, *args):
 
 def _assert_built_as_public(log):
     for trace in log.traces:
-        events = tuple(Event(e.activity, originator=e.originator, timestamp=e.timestamp) for e in trace.events)
-        assert events == trace.events
-        assert Trace(trace.case_id, events) == trace
-        assert all(e.timestamp is None or e.timestamp.tzinfo is UTC for e in trace.events)
+        assert Trace(trace.case_id, trace.activities, trace.originators, trace.timestamps) == trace
+        columns = (trace.activities, trace.originators, trace.timestamps)
+        assert all(type(column) is tuple for column in columns)
+        assert all(t is None or t.tzinfo is UTC for t in trace.timestamps)
 
 
 class TestParseCsvLog:
@@ -191,6 +191,22 @@ _STRATEGY = st.one_of(
     st.sampled_from([0, 30, 3600]).map(lambda s: ByCommit(timedelta(seconds=s))),
 )
 _VERB_MAP = st.none() | st.dictionaries(st.sampled_from(["revert", "NIT", "ok"]), st.sampled_from(["undo", "style"]))
+# Keywords and comments over a few letters of both cases, so that keywords
+# differ only in case, overlap, or hold one another, and comments hold
+# several of them.
+_LETTERS = "reERvVtT :"
+_KEYWORD = st.sampled_from(["re", "RE", "Re", "revert", "REVERT", "vert", "ever", "t", "", " "]) | st.text(
+    _LETTERS, max_size=5
+)
+_VERB_MAPS = st.dictionaries(_KEYWORD, st.sampled_from(["undo", "style", "fix"]), max_size=6)
+_COMMENTED_RECORD = st.builds(
+    ReviewRecord,
+    artifact_id=st.sampled_from(["X", "Y"]),
+    submitter=st.just("sam"),
+    reviewer=st.sampled_from(["r1", "r2"]),
+    comment=st.sampled_from(["Revert this", "re: revert", "REVERT", "ok"]) | st.text(_LETTERS, max_size=12),
+    timestamp=st.sampled_from([0, 60]).map(lambda s: _T0 + timedelta(seconds=s)),
+)
 
 
 class TestBuildLog:
@@ -199,6 +215,18 @@ class TestBuildLog:
         assert _outcome(build_log, records, strategy, verb_map) == _outcome(
             reference_build_log, records, strategy, verb_map
         )
+
+    @given(st.lists(_COMMENTED_RECORD, min_size=1, max_size=6), _VERB_MAPS)
+    @example([ReviewRecord("X", "sam", "r1", "Revert it", _T0)], {})
+    @example([ReviewRecord("X", "sam", "r1", "Revert it", _T0)], {"revert": "undo", "RE": "fix"})
+    @example([ReviewRecord("X", "sam", "r1", "Revert it", _T0)], {"Vert": "undo", "revert": "fix"})
+    def test_verb_maps_match_reference(self, records, verb_map):
+        """Keywords match ignoring case, the first in sorted order wins, and
+        an empty map gives the default verb."""
+        built = build_log(records, ByArtifact(), verb_map)
+        assert built == reference_build_log(records, ByArtifact(), verb_map)
+        if not verb_map:
+            assert {a for t in built.log.traces for a in t.activities} <= {"review:initiator", "review:responder"}
 
     @given(st.lists(_REVIEW_RECORD, min_size=1, max_size=8), _STRATEGY, _VERB_MAP)
     def test_builds_what_the_public_constructors_build(self, records, strategy, verb_map):
@@ -210,8 +238,7 @@ class TestBuildLog:
 @pytest.mark.parametrize(
     "value",
     [
-        Event("a", originator="o", timestamp=datetime(2012, 5, 3, tzinfo=UTC)),
-        Trace("c", (Event("a"),)),
+        Trace("c", ("a",), ("o",), (datetime(2012, 5, 3, tzinfo=UTC),)),
         ReviewRecord("X", "s", "r", "ok", datetime(2012, 5, 3, tzinfo=UTC)),
     ],
     ids=lambda value: type(value).__name__,

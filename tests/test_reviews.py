@@ -61,7 +61,7 @@ class TestBuildLog:
         trace_log = build_log(records, ByArtifact())
         [trace] = trace_log.log.traces
         assert trace.case_id == "X"
-        assert [(e.activity, e.originator) for e in trace.events] == [
+        assert list(zip(trace.activities, trace.originators)) == [
             ("review:initiator", "R1"),
             ("review:responder", "R2"),
         ]
@@ -77,8 +77,8 @@ class TestBuildLog:
         by_case = {t.case_id: t for t in trace_log.log.traces}
         assert set(by_case) == {"X", "Y"}
         # roles assigned independently per case
-        assert by_case["X"].events[0].originator == "R1"
-        assert by_case["Y"].events[0].originator == "R2"
+        assert by_case["X"].originators[0] == "R1"
+        assert by_case["Y"].originators[0] == "R2"
 
     def test_opener_stays_initiator_for_later_comments(self):
         records = [
@@ -88,25 +88,27 @@ class TestBuildLog:
         ]
         trace_log = build_log(records, ByArtifact())
         [trace] = trace_log.log.traces
-        assert [e.activity for e in trace.events] == [
+        assert trace.activities == (
             "review:initiator",
             "review:initiator",
             "review:responder",
-        ]
+        )
         oracle = expected_initiators(records, lambda r: r.artifact_id)
-        for event in trace.events:
-            is_opener = event.originator == oracle["X"]
-            assert event.activity.endswith("initiator" if is_opener else "responder")
+        for activity, originator in zip(trace.activities, trace.originators):
+            is_opener = originator == oracle["X"]
+            assert activity.endswith("initiator" if is_opener else "responder")
 
     def test_tie_on_timestamp_breaks_by_input_order(self):
         records = [record(reviewer="R2", at=0), record(reviewer="R1", at=0)]
         trace_log = build_log(records, ByArtifact())
-        assert trace_log.log.traces[0].events[0].originator == "R2"
+        assert trace_log.log.traces[0].originators[0] == "R2"
 
     def test_events_sorted_by_timestamp(self):
         records = [record(reviewer="R2", at=60), record(reviewer="R1", at=0)]
         trace_log = build_log(records, ByArtifact())
-        assert [e.originator for e in trace_log.log.traces[0].events] == ["R1", "R2"]
+        [trace] = trace_log.log.traces
+        assert trace.originators == ("R1", "R2")
+        assert trace.timestamps == (T0, T0 + timedelta(seconds=60))
 
     def test_thread_and_topic_strategies(self):
         records = [
@@ -142,7 +144,7 @@ class TestBuildLog:
             "sam@2012-05-03T12:00:00Z",
             "sam@2012-05-03T14:46:40Z",
         ]
-        sizes = {t.case_id: len(t.events) for t in trace_log.log.traces}
+        sizes = {t.case_id: len(t.activities) for t in trace_log.log.traces}
         assert sizes["sam@2012-05-03T12:00:00Z"] == 2
 
     def test_commit_gap_equal_to_window_stays_in_session(self):
@@ -156,15 +158,15 @@ class TestBuildLog:
             record(reviewer="R2", comment="all good", at=60),
         ]
         trace_log = build_log(records, ByArtifact(), verb_map={"revert": "revert"})
-        assert [e.activity for e in trace_log.log.traces[0].events] == [
+        assert trace_log.log.traces[0].activities == (
             "revert:initiator",
             "review:responder",
-        ]
+        )
 
     def test_verb_map_first_sorted_keyword_wins(self):
         records = [record(comment="ab", at=0)]
         trace_log = build_log(records, ByArtifact(), verb_map={"b": "post", "a": "read"})
-        assert trace_log.log.traces[0].events[0].activity == "read:initiator"
+        assert trace_log.log.traces[0].activities[0] == "read:initiator"
 
     def test_metadata_carried(self):
         trace_log = build_log([record()], ByArtifact())
@@ -182,7 +184,7 @@ class TestBuildLog:
         rng = random.Random(11)
         records = random_records(rng, n_cases=30)
         trace_log = build_log(records, ByArtifact())
-        assert sum(len(t.events) for t in trace_log.log.traces) == len(records)
+        assert sum(len(t.activities) for t in trace_log.log.traces) == len(records)
 
     def test_one_initiator_reviewer_per_case(self):
         rng = random.Random(12)
@@ -191,7 +193,7 @@ class TestBuildLog:
         oracle = expected_initiators(records, lambda r: r.artifact_id)
         for trace in trace_log.log.traces:
             initiators = {
-                e.originator for e in trace.events if e.activity.endswith(":initiator")
+                o for a, o in zip(trace.activities, trace.originators) if a.endswith(":initiator")
             }
             assert initiators == {oracle[trace.case_id]}
 
@@ -253,7 +255,7 @@ class TestDurations:
         trace_log = build_log(random_records(rng, n_cases=25), ByArtifact())
         got = durations(trace_log)
         for trace in trace_log.log.traces:
-            stamps = [e.timestamp for e in trace.events]
+            stamps = trace.timestamps
             assert got[trace.case_id] == [stamps[i + 1] - stamps[i] for i in range(len(stamps) - 1)]
 
     def test_untimestamped_event_rejected(self):

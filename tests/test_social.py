@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, strategies as st
 
-from trailnet.eventlog import Event, EventLog, LogError, Trace
+from trailnet.eventlog import EventLog, LogError, Trace
 from trailnet.reviews import ByArtifact, ReviewRecord, build_log
 from trailnet.social import (
     SocialGraph,
@@ -25,8 +25,8 @@ def log_of_originators(*cases: list[str]) -> EventLog:
     traces = []
     for i, people in enumerate(cases):
         case_id = f"c{i}"
-        events = tuple(Event("review", originator=person) for person in people)
-        traces.append(Trace(case_id, events))
+        none = (None,) * len(people)
+        traces.append(Trace(case_id, ("review",) * len(people), tuple(people), none))
     return EventLog(tuple(traces))
 
 
@@ -53,8 +53,13 @@ class TestHandover:
         assert graph.edges == {("R1", "R2"): 2}
 
     def test_missing_originator_rejected(self):
-        log = EventLog((Trace("c", (Event("a"),)),))
-        with pytest.raises(LogError):
+        log = EventLog((Trace("c", ("a",), (None,), (None,)),))
+        with pytest.raises(LogError, match="'c' has an event without originator"):
+            handover_of_work(log)
+
+    def test_missing_originator_mid_trace_rejected(self):
+        log = EventLog((Trace("c", ("a", "b", "c"), ("R1", "", "R2"), (None,) * 3),))
+        with pytest.raises(LogError, match="'c' has an event without originator"):
             handover_of_work(log)
 
     @given(_originator_logs)
@@ -63,8 +68,8 @@ class TestHandover:
         expected = sum(
             1
             for trace in log.traces
-            for a, b in zip(trace.events, trace.events[1:])
-            if a.originator != b.originator
+            for a, b in zip(trace.originators, trace.originators[1:])
+            if a != b
         )
         assert sum(graph.edges.values()) == expected
 
