@@ -207,9 +207,14 @@ def _cmd_simulate(args: argparse.Namespace, text: str) -> dict[str, str]:
     # The text of json.dumps(payload, indent=2) for the payload
     # {"complete": ..., "traces": sorted traces}, joined from per-activity
     # pieces: the indenting encoder is pure Python and a trace language can
-    # run to tens of thousands of traces.
+    # run to tens of thousands of traces. A complete firing sequence is
+    # never empty, since the source and sink differ, so each trace is the
+    # non-empty layout of _json_list(..., "    ").
     names = {t: json.dumps(t) for t in net.transitions}
-    traces = [_json_list([names[t] for t in trace], "    ") for trace in sorted(result.traces)]
+    traces = [
+        "[\n      " + ",\n      ".join(map(names.__getitem__, trace)) + "\n    ]"
+        for trace in sorted(result.traces)
+    ]
     fields = f'  "complete": {json.dumps(result.complete)},\n  "traces": {_json_list(traces, "  ")}'
     return {"": "{\n" + fields + "\n}\n"}
 

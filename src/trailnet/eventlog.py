@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -163,7 +164,7 @@ class EventLog:
     @cached_property
     def alphabet(self) -> frozenset[str]:
         """The set of activity names occurring in at least one trace."""
-        return frozenset(a for seq in self.variants for a in seq)
+        return frozenset(itertools.chain.from_iterable(self.variants))
 
     def __len__(self) -> int:
         return len(self.traces)

@@ -13,7 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 Marking = Mapping[str, int]
 
@@ -24,6 +24,19 @@ class NetStructureError(ValueError):
 
 class NotEnabledError(ValueError):
     """A transition was fired without the tokens to back it."""
+
+
+class _IndexedNet(NamedTuple):
+    """A net's arcs as indices into its sorted places, for the token games."""
+
+    places: tuple[str, ...]
+    # transition -> (input place indices, output place indices)
+    arcs_of: dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
+    # (transition, inputs, outputs), reverse-sorted by transition: pushing
+    # children in this order pops the lexicographically smallest one first.
+    moves: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]
+    source: int
+    sink: int
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,17 @@ class WorkflowNet:
             ins[head].add(tail)
             outs[tail].add(head)
         return tuple({n: frozenset(v) for n, v in side.items()} for side in (ins, outs))
+
+    @cached_property
+    def _indexed(self) -> _IndexedNet:
+        places = tuple(sorted(self.places))
+        index = {place: i for i, place in enumerate(places)}
+        arcs_of = {
+            t: (tuple(index[p] for p in self.inputs(t)), tuple(index[p] for p in self.outputs(t)))
+            for t in sorted(self.transitions)
+        }
+        moves = tuple((t, *arcs_of[t]) for t in reversed(arcs_of))
+        return _IndexedNet(places, arcs_of, moves, index[self.source], index[self.sink])
 
     def inputs(self, node: str) -> frozenset[str]:
         """Nodes with an arc into ``node``."""
@@ -135,26 +159,38 @@ def replay(net: WorkflowNet, trace: Sequence[str]) -> ReplayResult:
     let a transition, or that last consumption, go ahead;
     ``produced_remaining`` counts the tokens left over at the end. The
     trace fits exactly when both are zero, so every misfit has a count.
+
+    The net is compiled to place indices once per net object, so each
+    event costs one dict lookup plus its token arithmetic on a list of
+    counts. A ``KeyError`` names the first activity, in trace order, that
+    is not a transition of the net.
     """
-    for activity in trace:
-        if activity not in net.transitions:
-            raise KeyError(f"trace activity {activity!r} is not a transition of the net")
-    marking = initial_marking(net)
+    indexed = net._indexed
+    arcs_of = indexed.arcs_of
+    marking = [0] * len(indexed.places)
+    marking[indexed.source] = 1
     missing = 0
     for activity in trace:
-        for place in net.inputs(activity):
-            if marking.get(place, 0):
+        try:
+            consumed, produced = arcs_of[activity]
+        except KeyError:
+            raise KeyError(f"trace activity {activity!r} is not a transition of the net") from None
+        for place in consumed:
+            if marking[place]:
                 marking[place] -= 1
             else:
                 missing += 1
-        for place in net.outputs(activity):
-            marking[place] = marking.get(place, 0) + 1
-    if marking.get(net.sink, 0):
-        marking[net.sink] -= 1
+        for place in produced:
+            marking[place] += 1
+    if marking[indexed.sink]:
+        marking[indexed.sink] -= 1
     else:
         missing += 1
-    remaining = sum(marking.values())
+    remaining = sum(marking)
     return ReplayResult(missing == 0 and remaining == 0, missing, remaining)
+
+
+_FINAL = 0  # the id of the final marking {sink: 1} in generate_traces
 
 
 def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> TraceGenerationResult:
@@ -168,50 +204,59 @@ def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> Trace
     truly has no complete firing sequence. A final marking is never
     expanded, and the length cut counts only where a transition is enabled.
 
-    Markings are tuples of token counts over the sorted places, and each
-    distinct marking computes its successors once. The cost therefore
-    scales with the distinct reachable markings plus the size of the
-    output: what is left per explored prefix is a table lookup and a push,
-    and without dead ends every prefix is part of some output sequence.
+    The net is compiled to place indices once per net object. Markings
+    are tuples of token counts over the sorted places, and each distinct
+    marking gets a small int id the first time the search reaches it and
+    computes its successors, as ``(transition, child id)`` pairs, once.
+    The cost therefore scales with the distinct reachable markings plus
+    the size of the output: what is left per explored prefix is a list
+    index, an int test and a push, and without dead ends every prefix is
+    part of some output sequence.
     """
     if max_length < 0 or max_traces < 0:
         raise ValueError("bounds must be non-negative")
-    places = sorted(net.places)
-    index = {place: i for i, place in enumerate(places)}
-    # Reverse-sorted, so that pushing children in this order pops the
-    # lexicographically smallest sequence first.
-    moves = [
-        (t, [index[p] for p in net.inputs(t)], [index[p] for p in net.outputs(t)])
-        for t in sorted(net.transitions, reverse=True)
-    ]
-    start = tuple(int(p == net.source) for p in places)
-    final = tuple(int(p == net.sink) for p in places)
-    successors: dict[tuple[int, ...], list[tuple[str, tuple[int, ...]]]] = {}
+    indexed = net._indexed
+    start = [0] * len(indexed.places)
+    final = start.copy()
+    start[indexed.source] = 1
+    final[indexed.sink] = 1
+    markings = [tuple(final), tuple(start)]  # id -> marking; _FINAL is 0
+    ids = {marking: i for i, marking in enumerate(markings)}
+    successors: list[list[tuple[str, int]] | None] = [None, None]  # id -> children once known
     found: list[tuple[str, ...]] = []
     complete = True
-    stack: list[tuple[tuple[int, ...], tuple[str, ...]]] = [(start, ())]
+    stack: list[tuple[int, tuple[str, ...]]] = [(1, ())]
+    push = stack.append
     while stack:
-        marking, sequence = stack.pop()
-        if marking == final:
+        state, sequence = stack.pop()
+        if state == _FINAL:
             if len(found) >= max_traces:
                 complete = False
                 break
             found.append(sequence)
             continue
-        children = successors.get(marking)
+        children = successors[state]
         if children is None:
-            children = successors[marking] = _successors(marking, moves)
+            children = successors[state] = []
+            for transition, child in _successors(markings[state], indexed.moves):
+                child_id = ids.get(child)
+                if child_id is None:
+                    child_id = ids[child] = len(markings)
+                    markings.append(child)
+                    successors.append(None)
+                children.append((transition, child_id))
         if not children:
             continue
         if len(sequence) >= max_length:
             complete = False
             continue
-        stack.extend([(child, sequence + (t,)) for t, child in children])
+        for t, child in children:
+            push((child, sequence + (t,)))
     return TraceGenerationResult(frozenset(found), complete)
 
 
 def _successors(
-    marking: tuple[int, ...], moves: list[tuple[str, list[int], list[int]]]
+    marking: tuple[int, ...], moves: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]
 ) -> list[tuple[str, tuple[int, ...]]]:
     """``(transition, marking after firing it)`` for each enabled move, in order."""
     children = []

@@ -18,7 +18,13 @@ from datetime import datetime, timezone
 from typing import Mapping
 
 from trailnet.eventlog import CSV_HEADER, EventLog, LogError, LogParseError, Trace
-from trailnet.petri import TraceGenerationResult, enabled, fire, initial_marking
+from trailnet.petri import (
+    ReplayResult,
+    TraceGenerationResult,
+    enabled,
+    fire,
+    initial_marking,
+)
 from trailnet.relations import FootprintMatrix, Relation
 from trailnet.reviews import (
     DEFAULT_VERB,
@@ -120,6 +126,31 @@ def reference_generate_traces(net, max_length: int, max_traces: int) -> TraceGen
         for transition in sorted(fireable, reverse=True):
             stack.append((fire(net, marking, transition), sequence + (transition,)))
     return TraceGenerationResult(frozenset(found), complete)
+
+
+
+def reference_replay(net, trace) -> ReplayResult:
+    """Token replay over dict markings keyed by place name, every activity
+    checked before any firing; same accounting as ``replay``."""
+    for activity in trace:
+        if activity not in net.transitions:
+            raise KeyError(f"trace activity {activity!r} is not a transition of the net")
+    marking = initial_marking(net)
+    missing = 0
+    for activity in trace:
+        for place in net.inputs(activity):
+            if marking.get(place, 0):
+                marking[place] -= 1
+            else:
+                missing += 1
+        for place in net.outputs(activity):
+            marking[place] = marking.get(place, 0) + 1
+    if marking.get(net.sink, 0):
+        marking[net.sink] -= 1
+    else:
+        missing += 1
+    remaining = sum(marking.values())
+    return ReplayResult(missing == 0 and remaining == 0, missing, remaining)
 
 
 # Ingest as it was before it built traces and records through trusted

@@ -23,7 +23,7 @@ from trailnet.petri import (
 )
 
 from .netgen import random_structured_net
-from .oracles import reference_generate_traces
+from .oracles import reference_generate_traces, reference_replay
 
 P_BE = "p({A},{B,E})"
 P_CE = "p({A},{C,E})"
@@ -72,11 +72,18 @@ def _any_small_nets(draw):
 
 
 @st.composite
-def _nets_with_traces(draw):
-    """A structured or arbitrary small net, and any sequence of its transitions."""
+def _nets_with_traces(draw, foreign=False):
+    """A structured or arbitrary small net, and any sequence of its transitions.
+
+    With ``foreign``, some traces also hold one activity that is not a
+    transition of the net: a place name or a name the net lacks.
+    """
     net = draw(st.one_of(_random_nets, _any_small_nets()))
     names = sorted(net.transitions)
     trace = draw(st.lists(st.sampled_from(names), max_size=8)) if names else []
+    if foreign and draw(st.booleans()):
+        outsider = draw(st.sampled_from(sorted(net.places) + ["Z", ""]))
+        trace.insert(draw(st.integers(0, len(trace))), outsider)
     return net, tuple(trace)
 
 
@@ -256,6 +263,21 @@ class TestReplay:
         result = replay(net, trace)
         if not result.fits:
             assert result.consumed_missing + result.produced_remaining >= 1
+
+    @given(_nets_with_traces(foreign=True))
+    @example((sink_free_net(), ()))
+    @example((sink_free_net(), ("x",)))
+    @example((sink_free_net(), ("y", "Z", "x", "o")))
+    def test_matches_reference_replay(self, case):
+        net, trace = case
+        try:
+            expected = reference_replay(net, trace)
+        except KeyError as exc:
+            with pytest.raises(KeyError) as raised:
+                replay(net, trace)
+            assert raised.value.args == exc.args
+        else:
+            assert replay(net, trace) == expected
 
 
 class TestGenerateTraces:
