@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .eventlog import EventLog
@@ -226,19 +227,33 @@ def _json_list(items: list[str], indent: str) -> str:
 def _json_pairs(pairs: frozenset[CandidatePair]) -> str:
     """Sorted ``[[A...], [B...]]`` pairs, as they sit under a top-level key.
 
-    Each distinct side is sorted and encoded once. A pair's position comes
-    from the ranks of its two sides, folded into one int, so ordering the
-    pairs compares ints rather than nested tuples of names.
+    The pairs are grouped by their A side in one pass. Each distinct side
+    is sorted, ranked and encoded once; the A sides are then written in
+    rank order, each as one join over the ranked texts of its B sides.
     """
-    keys = {side: tuple(sorted(side)) for side in {side for pair in pairs for side in pair}}
-    rank = {side: i for i, side in enumerate(sorted(keys, key=keys.__getitem__))}
-    text = {side: _json_list([json.dumps(m) for m in key], "      ") for side, key in keys.items()}
-    # Each value is _json_list([text[a], text[b]], "    "), written inline.
-    rows = {
-        rank[a] * len(rank) + rank[b]: f"[\n      {text[a]},\n      {text[b]}\n    ]"
-        for a, b in pairs
-    }
-    return _json_list([rows[k] for k in sorted(rows)], "  ")
+    if not pairs:
+        return "[]"
+    groups: defaultdict[frozenset[str], list[frozenset[str]]] = defaultdict(list)
+    for a, b in pairs:
+        groups[a].append(b)
+    sides = set(groups).union(*groups.values())
+    keys = {side: tuple(sorted(side)) for side in sides}
+    ranked = sorted(sides, key=keys.__getitem__)
+    rank = {side: i for i, side in enumerate(ranked)}
+    text = [_json_list([json.dumps(m) for m in keys[side]], "      ") for side in ranked]
+    # A pair is _json_list([text[a], text[b]], "    "), written inline, so
+    # the pairs of one A side are one join over the texts of their B sides.
+    between = "\n    ],\n    [\n      "  # from the end of one pair to the next
+    blocks = []
+    for a in sorted(groups, key=rank.__getitem__):
+        head = text[rank[a]] + ",\n      "
+        b_texts = map(text.__getitem__, sorted(map(rank.__getitem__, groups[a])))
+        blocks.append(head + (between + head).join(b_texts))
+    # The list's brackets go into its first and last block, so its text is
+    # made by one join and never copied whole.
+    blocks[0] = "[\n    [\n      " + blocks[0]
+    blocks[-1] += "\n    ]\n  ]"
+    return between.join(blocks)
 
 
 def intermediates_to_json(intermediates: AlphaIntermediates) -> str:
@@ -246,7 +261,8 @@ def intermediates_to_json(intermediates: AlphaIntermediates) -> str:
 
     The text is what ``json.dumps(payload, indent=2)`` gives for the payload
     of sorted lists, plus a newline. It is assembled from per-item pieces
-    because the indenting encoder is pure Python and X_W can be large.
+    because the indenting encoder is pure Python and X_W can be large, and
+    the fields are joined once so that X_W's text is not copied again.
     """
     fields = {
         "T_W": _json_list([json.dumps(t) for t in sorted(intermediates.t_w)], "  "),
@@ -255,4 +271,8 @@ def intermediates_to_json(intermediates: AlphaIntermediates) -> str:
         "X_W": _json_pairs(intermediates.x_w),
         "Y_W": _json_pairs(intermediates.y_w),
     }
-    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {v}" for k, v in fields.items()) + "\n}\n"
+    pieces = ["{\n"]
+    for key, value in fields.items():
+        pieces += ["  %s: " % json.dumps(key), value, ",\n"]
+    pieces[-1] = "\n}\n"
+    return "".join(pieces)

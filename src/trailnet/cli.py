@@ -20,13 +20,7 @@ from datetime import timedelta
 from pathlib import Path
 from typing import Sequence
 
-from .alpha import (
-    DEFAULT_ALPHABET_LIMIT,
-    AlphabetLimitError,
-    _json_list,
-    alpha,
-    intermediates_to_json,
-)
+from .alpha import DEFAULT_ALPHABET_LIMIT, AlphabetLimitError, alpha, intermediates_to_json
 from .eventlog import LogError, parse_csv_log, parse_timestamp, serialize_csv_log
 from .petri import _net_from_payload, generate_traces, net_from_json, to_dot, to_json
 from .relations import footprint, footprint_to_csv
@@ -205,18 +199,21 @@ def _cmd_simulate(args: argparse.Namespace, text: str) -> dict[str, str]:
     net = net_from_json(text)
     result = generate_traces(net, args.max_length, args.max_traces)
     # The text of json.dumps(payload, indent=2) for the payload
-    # {"complete": ..., "traces": sorted traces}, joined from per-activity
-    # pieces: the indenting encoder is pure Python and a trace language can
-    # run to tens of thousands of traces. A complete firing sequence is
-    # never empty, since the source and sink differ, so each trace is the
-    # non-empty layout of _json_list(..., "    ").
+    # {"complete": ..., "traces": result.traces}; the search returns the
+    # traces sorted. The indenting encoder is pure Python and a trace
+    # language can run to tens of thousands of traces, so the text is built
+    # from joins: one per trace over its activities, then one over the
+    # traces, with the text around the list folded into the first and the
+    # last trace, so that the whole output is never copied. A complete
+    # firing sequence is never empty, since the source and sink differ.
+    head = '{\n  "complete": %s,\n  "traces": ' % json.dumps(result.complete)
+    if not result.traces:
+        return {"": head + "[]\n}\n"}
     names = {t: json.dumps(t) for t in net.transitions}
-    traces = [
-        "[\n      " + ",\n      ".join(map(names.__getitem__, trace)) + "\n    ]"
-        for trace in sorted(result.traces)
-    ]
-    fields = f'  "complete": {json.dumps(result.complete)},\n  "traces": {_json_list(traces, "  ")}'
-    return {"": "{\n" + fields + "\n}\n"}
+    rows = [",\n      ".join(map(names.__getitem__, trace)) for trace in result.traces]
+    rows[0] = head + "[\n    [\n      " + rows[0]
+    rows[-1] += "\n    ]\n  ]\n}\n"
+    return {"": "\n    ],\n    [\n      ".join(rows)}
 
 
 def _cmd_export(args: argparse.Namespace, text: str) -> dict[str, str]:

@@ -1,10 +1,10 @@
 """Workflow nets with token-game semantics.
 
 A workflow net is a Petri net with one source place and one sink place.
-This module plays the token game on such nets: enabling, firing, replaying
-recorded traces with missing/remaining token accounting, exhaustively
-generating the net's trace language, checking structural isomorphism, and
-serializing to DOT and JSON.
+This module plays the token game on such nets: replaying recorded traces
+with missing/remaining token accounting and exhaustively generating the
+net's trace language. It also checks structural isomorphism and
+serializes to DOT and JSON.
 """
 
 from __future__ import annotations
@@ -13,17 +13,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
-
-Marking = Mapping[str, int]
+from typing import NamedTuple, Sequence
 
 
 class NetStructureError(ValueError):
     """The net violates the workflow-net shape constraints."""
-
-
-class NotEnabledError(ValueError):
-    """A transition was fired without the tokens to back it."""
 
 
 class _IndexedNet(NamedTuple):
@@ -114,41 +108,14 @@ class ReplayResult:
 
 @dataclass(frozen=True)
 class TraceGenerationResult:
-    """Trace language up to bounds; ``complete`` means the search was exhaustive."""
+    """Trace language up to bounds; ``complete`` means the search was exhaustive.
 
-    traces: frozenset[tuple[str, ...]]
+    ``traces`` holds each complete firing sequence once, in increasing
+    lexicographic order.
+    """
+
+    traces: tuple[tuple[str, ...], ...]
     complete: bool
-
-
-def initial_marking(net: WorkflowNet) -> dict[str, int]:
-    return {net.source: 1}
-
-
-def enabled(net: WorkflowNet, marking: Marking) -> frozenset[str]:
-    """Transitions whose every input place holds at least one token."""
-    for place in marking:
-        if place not in net.places:
-            raise KeyError(f"marking references unknown place {place!r}")
-    return frozenset(
-        t for t in net.transitions if all(marking.get(p, 0) >= 1 for p in net.inputs(t))
-    )
-
-
-def fire(net: WorkflowNet, marking: Marking, transition: str) -> dict[str, int]:
-    """One token off each input place, one onto each output place."""
-    if transition not in net.transitions:
-        raise KeyError(f"unknown transition {transition!r}")
-    missing = [p for p in net.inputs(transition) if marking.get(p, 0) < 1]
-    if missing:
-        raise NotEnabledError(f"transition {transition!r} lacks tokens in {sorted(missing)}")
-    result = {p: n for p, n in marking.items() if n}
-    for place in net.inputs(transition):
-        result[place] -= 1
-        if not result[place]:
-            del result[place]
-    for place in net.outputs(transition):
-        result[place] = result.get(place, 0) + 1
-    return result
 
 
 def replay(net: WorkflowNet, trace: Sequence[str]) -> ReplayResult:
@@ -198,11 +165,17 @@ def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> Trace
 
     Depth-first in lexicographic order, cutting each branch at
     ``max_length`` firings and the whole search at ``max_traces`` collected
-    sequences; either cut marks the result incomplete. Under the
-    ``max_traces`` cut the kept sequences are the lexicographically
-    smallest complete ones. An empty but complete result means the net
-    truly has no complete firing sequence. A final marking is never
-    expanded, and the length cut counts only where a transition is enabled.
+    sequences; either cut marks the result incomplete. An empty but
+    complete result means the net truly has no complete firing sequence.
+    A final marking is never expanded, and the length cut counts only
+    where a transition is enabled.
+
+    The sequences come back in the order the search finds them, which is
+    increasing lexicographic order with no repeats: the smallest child is
+    expanded first, firing is deterministic, and a complete sequence is
+    never the prefix of another because its final marking is not
+    expanded. Under the ``max_traces`` cut the kept sequences are
+    therefore the lexicographically smallest complete ones.
 
     The net is compiled to place indices once per net object. Markings
     are tuples of token counts over the sorted places, and each distinct
@@ -252,7 +225,7 @@ def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> Trace
             continue
         for t, child in children:
             push((child, sequence + (t,)))
-    return TraceGenerationResult(frozenset(found), complete)
+    return TraceGenerationResult(tuple(found), complete)
 
 
 def _successors(

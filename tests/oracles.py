@@ -18,13 +18,7 @@ from datetime import datetime, timezone
 from typing import Mapping
 
 from trailnet.eventlog import CSV_HEADER, EventLog, LogError, LogParseError, Trace
-from trailnet.petri import (
-    ReplayResult,
-    TraceGenerationResult,
-    enabled,
-    fire,
-    initial_marking,
-)
+from trailnet.petri import ReplayResult, TraceGenerationResult, WorkflowNet
 from trailnet.relations import FootprintMatrix, Relation
 from trailnet.reviews import (
     DEFAULT_VERB,
@@ -97,10 +91,53 @@ def brute_force_maximal(pairs):
     )
 
 
+# The token game over dict markings keyed by place name, as the library
+# played it before it compiled nets to place indices.
+
+Marking = Mapping[str, int]
+
+
+class NotEnabledError(ValueError):
+    """A transition was fired without the tokens to back it."""
+
+
+def initial_marking(net: WorkflowNet) -> dict[str, int]:
+    return {net.source: 1}
+
+
+def enabled(net: WorkflowNet, marking: Marking) -> frozenset[str]:
+    """Transitions whose every input place holds at least one token."""
+    for place in marking:
+        if place not in net.places:
+            raise KeyError(f"marking references unknown place {place!r}")
+    return frozenset(
+        t for t in net.transitions if all(marking.get(p, 0) >= 1 for p in net.inputs(t))
+    )
+
+
+def fire(net: WorkflowNet, marking: Marking, transition: str) -> dict[str, int]:
+    """One token off each input place, one onto each output place."""
+    if transition not in net.transitions:
+        raise KeyError(f"unknown transition {transition!r}")
+    missing = [p for p in net.inputs(transition) if marking.get(p, 0) < 1]
+    if missing:
+        raise NotEnabledError(f"transition {transition!r} lacks tokens in {sorted(missing)}")
+    result = {p: n for p, n in marking.items() if n}
+    for place in net.inputs(transition):
+        result[place] -= 1
+        if not result[place]:
+            del result[place]
+    for place in net.outputs(transition):
+        result[place] = result.get(place, 0) + 1
+    return result
+
+
 def reference_generate_traces(net, max_length: int, max_traces: int) -> TraceGenerationResult:
     """The token-game search over dict markings, replaying every marking
-    from its parent with the public ``enabled``/``fire``; same bounds and
-    cut rules as ``generate_traces``."""
+    from its parent with ``enabled``/``fire`` above; same bounds and cut
+    rules as ``generate_traces``. The traces it keeps are collected in a
+    set and sorted at the end, so the order ``generate_traces`` returns is
+    checked against an independent sort."""
     if max_length < 0 or max_traces < 0:
         raise ValueError("bounds must be non-negative")
     final = {net.sink: 1}
@@ -125,8 +162,7 @@ def reference_generate_traces(net, max_length: int, max_traces: int) -> TraceGen
             continue
         for transition in sorted(fireable, reverse=True):
             stack.append((fire(net, marking, transition), sequence + (transition,)))
-    return TraceGenerationResult(frozenset(found), complete)
-
+    return TraceGenerationResult(tuple(sorted(found)), complete)
 
 
 def reference_replay(net, trace) -> ReplayResult:

@@ -62,6 +62,21 @@ _odd_logs = st.lists(
 ).map(log_from_sequences)
 
 
+# Pair sets with no closure shape: sides that share members, one A side
+# with many B sides, one B side with many A sides, and any union of these.
+_sides = st.frozensets(st.sampled_from(_ODD_NAMES), min_size=1, max_size=4)
+_fan_out = st.tuples(_sides, st.frozensets(_sides, max_size=12)).map(
+    lambda fan: frozenset((fan[0], b) for b in fan[1])
+)
+_fan_in = st.tuples(_sides, st.frozensets(_sides, max_size=12)).map(
+    lambda fan: frozenset((a, fan[0]) for a in fan[1])
+)
+_pair_sets = st.lists(
+    st.one_of(st.frozensets(st.tuples(_sides, _sides), max_size=20), _fan_out, _fan_in),
+    max_size=3,
+).map(lambda parts: frozenset().union(*parts))
+
+
 def _mine_quietly(log):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DanglingActivityWarning)
@@ -342,6 +357,15 @@ class TestIntermediatesJson:
         # Digests, so that a failure does not diff two 10 MB strings.
         got, want = intermediates_to_json(intermediates), _reference_json(intermediates)
         assert hashlib.sha256(got.encode()).hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+
+    @settings(deadline=None)
+    @given(_pair_sets, _pair_sets)
+    @example(frozenset(), _pairs(("A", "B")))
+    @example(_pairs(("A", "BC"), ("AB", "C"), ("C", "A")), frozenset())
+    def test_matches_indenting_encoder_on_any_pair_sets(self, x_w, y_w):
+        names = frozenset(m for pairs in (x_w, y_w) for pair in pairs for side in pair for m in side)
+        intermediates = AlphaIntermediates(names, names, names, x_w, y_w)
+        assert intermediates_to_json(intermediates) == _reference_json(intermediates)
 
     def test_matches_indenting_encoder_on_empty_sets(self):
         empty = AlphaIntermediates(frozenset(), frozenset(), frozenset(), frozenset(), frozenset())

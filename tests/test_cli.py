@@ -278,7 +278,7 @@ class TestSimulateOutput:
         net = _renamed(random_structured_net(random.Random(7)), _ODD_NAMES)
         result = self._check(net, 10, 1)
         assert not result.complete
-        assert result.traces == {('say "hi"', "back\\slash", "caf\u00e9", "\x00\x1f\x7f", '["a", 1]')}
+        assert result.traces == (('say "hi"', "back\\slash", "caf\u00e9", "\x00\x1f\x7f", '["a", 1]'),)
 
     def test_empty_complete_language(self):
         net = WorkflowNet(

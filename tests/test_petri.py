@@ -9,12 +9,8 @@ from trailnet.alpha import alpha
 from trailnet.eventlog import log_from_sequences
 from trailnet.petri import (
     NetStructureError,
-    NotEnabledError,
     WorkflowNet,
-    enabled,
-    fire,
     generate_traces,
-    initial_marking,
     isomorphic,
     net_from_json,
     replay,
@@ -23,7 +19,14 @@ from trailnet.petri import (
 )
 
 from .netgen import random_structured_net
-from .oracles import reference_generate_traces, reference_replay
+from .oracles import (
+    NotEnabledError,
+    enabled,
+    fire,
+    initial_marking,
+    reference_generate_traces,
+    reference_replay,
+)
 
 P_BE = "p({A},{B,E})"
 P_CE = "p({A},{C,E})"
@@ -157,6 +160,8 @@ class TestConstruction:
 
 
 class TestTokenGame:
+    """The dict-marking token game that the oracles in tests/oracles.py play."""
+
     def test_only_source_consumer_enabled_initially(self, sample_net):
         assert enabled(sample_net, initial_marking(sample_net)) == {"A"}
 
@@ -284,16 +289,16 @@ class TestGenerateTraces:
     def test_sample_net_language(self, sample_net):
         result = generate_traces(sample_net, max_length=10, max_traces=100)
         assert result.complete
-        assert result.traces == {
+        assert result.traces == (
             ("A", "B", "C", "D"),
             ("A", "C", "B", "D"),
             ("A", "E", "D"),
-        }
+        )
 
     def test_sequence_net(self):
         result = generate_traces(sequence_net(), max_length=10, max_traces=10)
         assert result.complete
-        assert result.traces == {("A", "B")}
+        assert result.traces == (("A", "B"),)
 
     def test_unreachable_sink_is_complete_and_empty(self):
         net = WorkflowNet(
@@ -305,17 +310,17 @@ class TestGenerateTraces:
         )
         result = generate_traces(net, max_length=10, max_traces=10)
         assert result.complete
-        assert result.traces == frozenset()
+        assert result.traces == ()
 
     def test_length_bound_reported_as_incomplete(self):
         result = generate_traces(looping_net(), max_length=3, max_traces=100)
         assert not result.complete
-        assert result.traces == {("a", "c"), ("a", "b", "c")}
+        assert result.traces == (("a", "b", "c"), ("a", "c"))
 
     def test_trace_budget_reported_as_incomplete(self, sample_net):
         result = generate_traces(sample_net, max_length=10, max_traces=1)
         assert not result.complete
-        assert len(result.traces) == 1
+        assert result.traces == (("A", "B", "C", "D"),)
 
     def test_negative_bounds_rejected(self, sample_net):
         with pytest.raises(ValueError):
@@ -325,7 +330,7 @@ class TestGenerateTraces:
         # {o: 1} is reached after "a" and kept; expanding it would add a, g, h
         result = generate_traces(empty_preset_net(), max_length=3, max_traces=100)
         assert not result.complete
-        assert result.traces == {("a",), ("g", "a", "h"), ("g", "h", "a")}
+        assert result.traces == (("a",), ("g", "a", "h"), ("g", "h", "a"))
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -352,8 +357,16 @@ class TestGenerateTraces:
         language = generate_traces(net, max_length=30, max_traces=50_000)
         assert language.complete
         cut = generate_traces(net, max_length=30, max_traces=max_traces)
-        assert cut.traces == set(sorted(language.traces)[:max_traces])
+        assert cut.traces == tuple(sorted(language.traces))[:max_traces]
         assert cut.complete == (max_traces >= len(language.traces))
+
+    @settings(deadline=None, max_examples=50)
+    @given(_random_nets, st.integers(0, 12), st.integers(0, 8))
+    def test_traces_strictly_increasing(self, net, max_length, max_traces):
+        # Under no cut, the length cut and the trace cut.
+        for bounds in ((30, 50_000), (max_length, 50_000), (30, max_traces)):
+            traces = generate_traces(net, *bounds).traces
+            assert all(earlier < later for earlier, later in zip(traces, traces[1:]))
 
     @settings(deadline=None, max_examples=50)
     @given(_random_nets)
