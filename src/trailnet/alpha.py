@@ -224,15 +224,16 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
-def _json_pairs(pairs: frozenset[CandidatePair]) -> str:
-    """Sorted ``[[A...], [B...]]`` pairs, as they sit under a top-level key.
+def _json_pairs(pairs: frozenset[CandidatePair]) -> list[str]:
+    """Sorted ``[[A...], [B...]]`` pairs, as they sit under a top-level key,
+    in pieces whose concatenation is the text.
 
     The pairs are grouped by their A side in one pass. Each distinct side
     is sorted, ranked and encoded once; the A sides are then written in
     rank order, each as one join over the ranked texts of its B sides.
     """
     if not pairs:
-        return "[]"
+        return ["[]"]
     groups: defaultdict[frozenset[str], list[frozenset[str]]] = defaultdict(list)
     for a, b in pairs:
         groups[a].append(b)
@@ -249,11 +250,14 @@ def _json_pairs(pairs: frozenset[CandidatePair]) -> str:
         head = text[rank[a]] + ",\n      "
         b_texts = map(text.__getitem__, sorted(map(rank.__getitem__, groups[a])))
         blocks.append(head + (between + head).join(b_texts))
-    # The list's brackets go into its first and last block, so its text is
-    # made by one join and never copied whole.
+    # The list's brackets go into its first and last block, and the blocks
+    # are joined only with the rest of the file, so that the list's text is
+    # never made on its own and copied whole.
     blocks[0] = "[\n    [\n      " + blocks[0]
     blocks[-1] += "\n    ]\n  ]"
-    return between.join(blocks)
+    pieces = [between] * (2 * len(blocks) - 1)
+    pieces[::2] = blocks
+    return pieces
 
 
 def intermediates_to_json(intermediates: AlphaIntermediates) -> str:
@@ -262,17 +266,17 @@ def intermediates_to_json(intermediates: AlphaIntermediates) -> str:
     The text is what ``json.dumps(payload, indent=2)`` gives for the payload
     of sorted lists, plus a newline. It is assembled from per-item pieces
     because the indenting encoder is pure Python and X_W can be large, and
-    the fields are joined once so that X_W's text is not copied again.
+    all the pieces are joined once so that X_W's text is made only once.
     """
     fields = {
-        "T_W": _json_list([json.dumps(t) for t in sorted(intermediates.t_w)], "  "),
-        "T_I": _json_list([json.dumps(t) for t in sorted(intermediates.t_i)], "  "),
-        "T_O": _json_list([json.dumps(t) for t in sorted(intermediates.t_o)], "  "),
+        "T_W": [_json_list([json.dumps(t) for t in sorted(intermediates.t_w)], "  ")],
+        "T_I": [_json_list([json.dumps(t) for t in sorted(intermediates.t_i)], "  ")],
+        "T_O": [_json_list([json.dumps(t) for t in sorted(intermediates.t_o)], "  ")],
         "X_W": _json_pairs(intermediates.x_w),
         "Y_W": _json_pairs(intermediates.y_w),
     }
     pieces = ["{\n"]
     for key, value in fields.items():
-        pieces += ["  %s: " % json.dumps(key), value, ",\n"]
+        pieces += ["  %s: " % json.dumps(key), *value, ",\n"]
     pieces[-1] = "\n}\n"
     return "".join(pieces)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from operator import itemgetter
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import gt, itemgetter, ne
 from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -27,6 +28,8 @@ CSV_HEADER = ("case_id", "activity", "originator", "timestamp")
 
 # The one timestamp shape: fixed-width fields of ASCII digits, UTC only.
 _TIMESTAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
+# A whole column of such stamps, joined by "\n".
+_STAMP_COLUMN = re.compile(f"{_TIMESTAMP.pattern}(?:\n{_TIMESTAMP.pattern})*", re.ASCII)
 
 
 class LogError(ValueError):
@@ -131,11 +134,18 @@ def _trace(
     has checked, with whole-second ``timezone.utc`` timestamps. Every
     other caller goes through the public class."""
     trace = object.__new__(Trace)
-    object.__setattr__(trace, "case_id", case_id)
-    object.__setattr__(trace, "activities", activities)
-    object.__setattr__(trace, "originators", originators)
-    object.__setattr__(trace, "timestamps", timestamps)
+    _set_case_id(trace, case_id)
+    _set_activities(trace, activities)
+    _set_originators(trace, originators)
+    _set_timestamps(trace, timestamps)
     return trace
+
+
+# Each slot's own setter, which a frozen class's __setattr__ does not guard.
+_set_case_id = Trace.case_id.__set__
+_set_activities = Trace.activities.__set__
+_set_originators = Trace.originators.__set__
+_set_timestamps = Trace.timestamps.__set__
 
 
 @dataclass(frozen=True)
@@ -164,7 +174,7 @@ class EventLog:
     @cached_property
     def alphabet(self) -> frozenset[str]:
         """The set of activity names occurring in at least one trace."""
-        return frozenset(itertools.chain.from_iterable(self.variants))
+        return frozenset(chain.from_iterable(self.variants))
 
     def __len__(self) -> int:
         return len(self.traces)
@@ -196,6 +206,9 @@ def parse_csv_log(source: str | TextIO) -> EventLog:
     number for malformed rows.
     """
     text = source.read() if hasattr(source, "read") else source
+    log = _columns(text)
+    if log is not None:
+        return log
     reader = csv.reader(io.StringIO(text.lstrip("\ufeff"), newline=""))
     rows = _rows(reader)
     header = next(rows, None)
@@ -240,6 +253,89 @@ def parse_csv_log(source: str | TextIO) -> EventLog:
         if line is not None and any(timestamps):
             raise LogParseError(f"case {case_id!r} mixes timestamped and untimestamped rows", line)
         traces.append(_trace(case_id, activities, originators, timestamps))
+    return EventLog(tuple(traces))
+
+
+def _columns(text: str) -> EventLog | None:
+    """:func:`parse_csv_log` of a quote-free log, read column by column, or None.
+
+    In text without a quote, ``\\r`` or NUL, the csv module reads exactly
+    the fields that splitting at ``\\n`` and ``,`` gives. So the text is
+    split once, each check runs over a whole column, and the rows of a case
+    are brought together in one sort when they are apart. None leaves the
+    text to the row parser, which gives the same log or raises the error
+    with its line number. That happens for text that holds one of those
+    characters or breaks a rule, and for a blank line, a log without rows
+    or a log that mixes stamped and unstamped rows.
+    """
+    # A NUL is a csv.Error before Python 3.11 and a character after.
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.lstrip("\ufeff").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final line end
+    if (
+        len(lines) < 2
+        or lines[0] != ",".join(CSV_HEADER)
+        or set(map(str.count, lines, repeat(","))) != {3}
+    ):
+        return None
+    fields = ",".join(lines).split(",")
+    del lines
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, fields)) > limit:
+        return None
+    # The header's four fields come first.
+    case_ids = fields[4::4]
+    activities = tuple(fields[5::4])
+    if "" in case_ids or "" in activities:
+        return None
+    originators = tuple([o or None for o in fields[6::4]])
+    stamps = fields[7::4]
+    del fields
+    n = len(case_ids)
+    cases = Counter(case_ids)  # rows per case, cases in the order of their first rows
+    if sum(map(ne, case_ids, islice(case_ids, 1, None))) + 1 != len(cases):
+        # Some case's rows are apart, as in a log ordered by time: bring
+        # each case's rows together, in file order.
+        rank = dict(zip(cases, range(len(cases))))
+        order = sorted(range(n), key=list(map(rank.__getitem__, case_ids)).__getitem__)
+        activities, originators, stamps = (
+            tuple(map(column.__getitem__, order)) for column in (activities, originators, stamps)
+        )
+    del case_ids
+    starts = list(accumulate(cases.values(), initial=0))  # and n, where the last case ends
+    if stamps[0]:
+        joined = "\n".join(stamps)
+        if _STAMP_COLUMN.fullmatch(joined) is None:
+            return None
+        try:  # as parse_timestamp does, which gives timezone.utc
+            timestamps = tuple(map(datetime.fromisoformat, joined.replace("Z", "+00:00").split("\n")))
+        except ValueError:
+            return None
+        del joined
+        # Rows stamped before the row above them; those that start a case
+        # do not count, and the cases of the others are sorted.
+        late = set(compress(range(1, n), map(gt, timestamps, islice(timestamps, 1, None))))
+        unsorted = set(map(bisect_right, repeat(starts), late.difference(starts)))
+    elif any(stamps):
+        return None
+    else:
+        timestamps = (None,) * n
+        unsorted = set()
+    del stamps
+
+    traces = []
+    for k, (case_id, start, end) in enumerate(zip(cases, starts, islice(starts, 1, None)), 1):
+        acts, origs, times = activities[start:end], originators[start:end], timestamps[start:end]
+        if k in unsorted:  # stable: ties keep file order
+            order = sorted(range(end - start), key=times.__getitem__)
+            acts, origs, times = (tuple(map(column.__getitem__, order)) for column in (acts, origs, times))
+        traces.append(_trace(case_id, acts, origs, times))
+    # Free the columns before making the tuple that outlives this call:
+    # made past them, it would split the memory they free, which a later
+    # large allocation (such as mine's 10 MB X_W text) could then not reuse.
+    del activities, originators, timestamps, starts, cases
     return EventLog(tuple(traces))
 
 

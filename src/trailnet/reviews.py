@@ -75,14 +75,24 @@ def _record(
     checked: non-empty ``artifact_id`` and ``reviewer``, and a timestamp
     that :func:`parse_timestamp` built."""
     record = object.__new__(ReviewRecord)
-    object.__setattr__(record, "artifact_id", artifact_id)
-    object.__setattr__(record, "submitter", submitter)
-    object.__setattr__(record, "reviewer", reviewer)
-    object.__setattr__(record, "comment", comment)
-    object.__setattr__(record, "timestamp", timestamp)
-    object.__setattr__(record, "thread_id", thread_id)
-    object.__setattr__(record, "topic", topic)
+    _set_artifact_id(record, artifact_id)
+    _set_submitter(record, submitter)
+    _set_reviewer(record, reviewer)
+    _set_comment(record, comment)
+    _set_timestamp(record, timestamp)
+    _set_thread_id(record, thread_id)
+    _set_topic(record, topic)
     return record
+
+
+# Each slot's own setter, which a frozen class's __setattr__ does not guard.
+_set_artifact_id = ReviewRecord.artifact_id.__set__
+_set_submitter = ReviewRecord.submitter.__set__
+_set_reviewer = ReviewRecord.reviewer.__set__
+_set_comment = ReviewRecord.comment.__set__
+_set_timestamp = ReviewRecord.timestamp.__set__
+_set_thread_id = ReviewRecord.thread_id.__set__
+_set_topic = ReviewRecord.topic.__set__
 
 
 @dataclass(frozen=True)

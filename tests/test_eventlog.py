@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import sys
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -276,6 +278,45 @@ class TestParse:
         with pytest.raises(LogParseError) as err:
             parse_csv_log(f"case_id,activity,originator,timestamp\n{row}\n")
         assert err.value.line == line
+
+    @pytest.mark.parametrize("first", ["A", '"A"'], ids=["quote-free", "quoted"])
+    def test_field_of_the_size_limit_parses(self, first):
+        text = f"case_id,activity,originator,timestamp\n1,{first},,\n1,{'x' * 131_072},,\n"
+        assert parse_csv_log(text).traces[0].activities == ("A", "x" * 131_072)
+        with pytest.raises(LogParseError, match="field larger than field limit") as err:
+            parse_csv_log(text.replace("x,", "xx,"))
+        assert err.value.line == 3
+
+    @pytest.fixture
+    def field_size_limit(self):
+        default = csv.field_size_limit()
+        yield csv.field_size_limit
+        csv.field_size_limit(default)
+
+    @pytest.mark.parametrize("first", ["A", '"A"'], ids=["quote-free", "quoted"])
+    def test_lowered_field_size_limit_is_honoured(self, field_size_limit, first):
+        """The limit is read at each call; "originator" is 10 characters."""
+        field_size_limit(10)
+        text = f"case_id,activity,originator,timestamp\n1,{first},,\n1,abcdefghij,,\n"
+        assert parse_csv_log(text).traces[0].activities == ("A", "abcdefghij")
+        with pytest.raises(LogParseError, match=r"field larger than field limit \(10\)") as err:
+            parse_csv_log(text.replace("j,", "jk,"))
+        assert err.value.line == 3
+        field_size_limit(9)
+        with pytest.raises(LogParseError) as err:
+            parse_csv_log(text)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("first", ["A", '"A"'], ids=["quote-free", "quoted"])
+    def test_nul_is_read_as_the_csv_module_reads_it(self, first):
+        """A NUL is a parse error before Python 3.11 and a character after."""
+        text = f"case_id,activity,originator,timestamp\n1,{first},,\n1,A\0B,,\n"
+        if sys.version_info < (3, 11):
+            with pytest.raises(LogParseError, match="line contains NUL") as err:
+                parse_csv_log(text)
+            assert err.value.line == 3
+        else:
+            assert parse_csv_log(text).traces[0].activities == ("A", "A\0B")
 
     def test_mixed_timestamp_presence_in_case_rejected(self):
         text = (

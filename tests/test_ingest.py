@@ -6,12 +6,13 @@ public constructor builds from the same fields."""
 from __future__ import annotations
 
 import json
+import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trailnet.eventlog import Trace, parse_csv_log
+from trailnet.eventlog import Trace, _columns, log_from_sequences, parse_csv_log, serialize_csv_log
 from trailnet.reviews import (
     ByArtifact,
     ByCommit,
@@ -23,6 +24,7 @@ from trailnet.reviews import (
 )
 
 from .oracles import reference_build_log, reference_parse_csv_log, reference_parse_records_jsonl
+from .reviewgen import random_records
 from .test_cli import _CSV_TEXT, _JSON, _RECORDS_TEXT, _lines
 
 UTC = timezone.utc
@@ -47,22 +49,26 @@ def _csv_cell(cell: str) -> str:
 
 
 @st.composite
-def _row(draw, stamps):
-    """A log CSV row stamped from ``stamps``; one row in eight has a flaw:
-    an empty key, a stamp that is bad or breaks the case's stamping, or an
-    extra field."""
+def _row(draw, case_id, stamps):
+    """A log CSV row of case ``case_id`` stamped from ``stamps``; one row in
+    twenty-four has a flaw: an empty key, a stamp that is bad or breaks the
+    case's stamping, an extra field, a field that must be quoted, or a NUL."""
     row = [
-        draw(st.sampled_from(["1", "2", "3"])),
-        draw(st.sampled_from(["A", "B", 'q"', "x,y"])),
+        case_id,
+        draw(st.sampled_from(["A", "B", "C"])),
         draw(st.sampled_from(["", "u", "v"])),
         draw(st.sampled_from(stamps)),
     ]
-    if draw(st.integers(0, 7)) == 0:
-        flaw = draw(st.sampled_from(["case_id", "activity", "stamp", "stamp", "stamp", "extra"]))
+    if draw(st.integers(0, 23)) == 0:
+        flaw = draw(st.sampled_from(["case_id", "activity", "stamp", "stamp", "stamp", "extra", "quote", "quote", "nul"]))
         if flaw == "extra":
             row.append("extra")
         elif flaw == "stamp":
             row[3] = draw(st.sampled_from(["", _GOOD_STAMPS[0]] * 3 + _BAD_STAMPS))
+        elif flaw == "quote":
+            row[1] = draw(st.sampled_from(['q"', "x,y"]))
+        elif flaw == "nul":
+            row[1] += "\0"
         else:
             row[0 if flaw == "case_id" else 1] = ""
     return ",".join(_csv_cell(c) for c in row)
@@ -70,13 +76,24 @@ def _row(draw, stamps):
 
 @st.composite
 def _csv_texts(draw):
-    """Mostly well-formed log CSV: a header (sometimes after a BOM, or
-    wrong), stamped or unstamped rows with a few flaws, blank or arbitrary
-    lines, and either line end."""
-    header = draw(st.sampled_from([HEADER] * 12 + ["\ufeff" + HEADER, " " + HEADER, "case_id,activity"]))
+    """Log CSV, most of it valid and quote-free: a header (sometimes after a
+    BOM, or wrong), then stamped or unstamped cases whose rows are adjacent
+    or, now and then, shuffled. Stamps are drawn per row, so they come
+    unsorted and with ties. Rows sometimes have a flaw, and the text
+    sometimes holds an arbitrary line, ends in ``\\r\\n`` or has no final
+    line end."""
+    header = draw(st.sampled_from([HEADER] * 20 + ["\ufeff" + HEADER, " " + HEADER, "case_id,activity"]))
     stamps = draw(st.sampled_from([[""], _GOOD_STAMPS]))
-    text = draw(_lines(_row(stamps), header=[header]))
-    return text.replace("\n", draw(st.sampled_from(["\n", "\r\n"]))) + draw(st.sampled_from(["", "\n"]))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    rows = [draw(_row(str(case), stamps)) for case, size in enumerate(sizes, 1) for _ in range(size)]
+    if draw(st.integers(0, 5)) == 0:
+        rows = draw(st.permutations(rows))
+    if draw(st.integers(0, 11)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.text(max_size=8)))
+    text = "\n".join([header, *rows])
+    if draw(st.integers(0, 11)) == 0:
+        text = text.replace("\n", "\r\n")
+    return text + draw(st.sampled_from(["\n", "\n", "\n", ""]))
 
 
 _RECORD = st.fixed_dictionaries(
@@ -147,6 +164,98 @@ class TestParseCsvLog:
         result = _outcome(parse_csv_log, text)
         if not isinstance(result, tuple):
             _assert_built_as_public(result)
+
+    @settings(max_examples=300)
+    @given(_csv_texts())
+    @example(HEADER + "\n1,A,u,")
+    @example("\ufeff" + HEADER + "\n1,B,,\n1,A,,\n2,A,v,\n")
+    @example(HEADER + "\n1,B,,2012-05-03T12:00:01Z\n1,A,,2012-05-03T12:00:00Z\n1,C,u,2012-05-03T12:00:00Z\n")
+    @example(HEADER + "\n1,A,,2012-05-03T12:00:01Z\n2,B,,2012-05-03T12:00:00Z\n2,C,,2012-05-03T12:00:00Z\n")
+    @example(HEADER + "\n1,A,,\n2,B,u,\n1,C,,\n3,D,,\n2,E,,\n")
+    def test_columnar_path_matches_reference_or_declines(self, text):
+        log = _columns(text)
+        if log is not None:
+            expected = reference_parse_csv_log(text)
+            assert log == expected
+            assert repr(log) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(HEADER + '\n1,"A",,\n', id="quote"),
+            pytest.param(HEADER + "\r\n1,A,,\r\n", id="carriage-return"),
+            pytest.param(HEADER + "\n1,A\0B,,\n", id="nul"),
+            pytest.param(" " + HEADER + "\n1,A,,\n", id="bad-header"),
+            pytest.param("", id="empty"),
+            pytest.param(HEADER + "\n", id="no-rows"),
+            pytest.param(HEADER + "\n1,A,,\n\n1,B,,\n", id="blank-line"),
+            pytest.param(HEADER + "\n1,A,,,\n", id="extra-field"),
+            pytest.param(HEADER + "\n1,A,\n", id="missing-field"),
+            pytest.param(HEADER + "\n1,A,,\n1," + "x" * 131_073 + ",,\n", id="overlong-field"),
+            pytest.param(HEADER + "\n,A,,\n", id="empty-case-id"),
+            pytest.param(HEADER + "\n1,,,\n", id="empty-activity"),
+            pytest.param(HEADER + "\n1,A,,2012-05-03T12:00:00Z\n2,B,,\n", id="mixed-stamps"),
+            pytest.param(HEADER + "\n1,A,,\n2,B,,2012-05-03T12:00:00Z\n", id="mixed-stamps-unstamped-first"),
+            pytest.param(HEADER + "\n1,A,,2012-5-3T8:0:0Z\n", id="stamp-shape"),
+            pytest.param(HEADER + "\n1,A,,2012-02-30T12:00:00Z\n", id="stamp-out-of-range"),
+        ],
+    )
+    def test_columnar_path_declines(self, text):
+        """Text outside the columnar path's domain goes to the row parser,
+        which gives the reference's result or error."""
+        assert _columns(text) is None
+        assert _outcome(parse_csv_log, text) == _outcome(reference_parse_csv_log, text)
+
+    @pytest.mark.parametrize(
+        "built",
+        [
+            build_log(random_records(random.Random(1)), ByArtifact()).log,
+            log_from_sequences(["AB", "BA", "ABC"] * 20),
+        ],
+        ids=["review-log", "unstamped"],
+    )
+    def test_a_written_log_takes_the_columnar_path(self, built):
+        """A log as ``build-log`` and ``export`` write it is read in bulk, so
+        a silent fall back to the row parser cannot pass."""
+        text = serialize_csv_log(built)
+        log = _columns(text)
+        assert log is not None
+        assert log == reference_parse_csv_log(text)
+        assert repr(log) == repr(reference_parse_csv_log(text))
+
+    def test_columnar_path_groups_and_sorts_cases_stably(self):
+        """Cases come in the order of their first rows, and a case's rows
+        are sorted by stamp, ties in file order, whether or not its rows
+        are adjacent."""
+        text = (
+            HEADER + "\n"
+            "1,B,u,2012-05-03T12:00:01Z\n"
+            "2,D,,2012-05-03T11:00:00Z\n"
+            "1,A,,2012-05-03T12:00:00Z\n"
+            "3,E,,2012-05-03T10:00:00Z\n"
+            "1,C,v,2012-05-03T12:00:00Z\n"
+            "2,F,,2012-05-03T11:00:00Z\n"
+        )
+        log = _columns(text)
+        assert log is not None
+        assert [(t.case_id, t.activities, t.originators) for t in log.traces] == [
+            ("1", ("A", "C", "B"), (None, "v", "u")),
+            ("2", ("D", "F"), (None, None)),
+            ("3", ("E",), (None,)),
+        ]
+        assert log == reference_parse_csv_log(text)
+        assert repr(log) == repr(reference_parse_csv_log(text))
+
+    def test_a_log_ordered_by_time_takes_the_columnar_path(self):
+        """A log whose rows are ordered by time across cases, as event-log
+        exports often are, is grouped in bulk too."""
+        built = build_log(random_records(random.Random(1)), ByArtifact()).log
+        rows = serialize_csv_log(built).splitlines()[1:]
+        text = "\n".join([HEADER, *sorted(rows, key=lambda row: row.rsplit(",", 1)[1])]) + "\n"
+        log = _columns(text)
+        assert log is not None
+        assert sorted(log.traces, key=repr) == sorted(built.traces, key=repr)
+        assert repr(log) == repr(reference_parse_csv_log(text))
 
 
 class TestParseRecordsJsonl:
