@@ -261,12 +261,12 @@ def _columns(text: str) -> EventLog | None:
 
     In text without a quote, ``\\r`` or NUL, the csv module reads exactly
     the fields that splitting at ``\\n`` and ``,`` gives. So the text is
-    split once, each check runs over a whole column, and the rows of a case
-    are brought together in one sort when they are apart. None leaves the
-    text to the row parser, which gives the same log or raises the error
-    with its line number. That happens for text that holds one of those
-    characters or breaks a rule, and for a blank line, a log without rows
-    or a log that mixes stamped and unstamped rows.
+    split once, each check runs over a whole column, and each case is one
+    slice of the columns. None leaves the text to the row parser, which
+    gives the same log or raises the error with its line number. That
+    happens for text that holds one of those characters or breaks a rule,
+    and for a blank line, a log without rows, a log in which some case's
+    rows are apart or a log that mixes stamped and unstamped rows.
     """
     # A NUL is a csv.Error before Python 3.11 and a character after.
     if '"' in text or "\r" in text or "\0" in text:
@@ -287,23 +287,19 @@ def _columns(text: str) -> EventLog | None:
         return None
     # The header's four fields come first.
     case_ids = fields[4::4]
+    cases = Counter(case_ids)  # rows per case, cases in the order of their first rows
+    # A case whose rows are apart, as in a log ordered by time, or an empty
+    # case id; checked before the other columns are built.
+    if sum(map(ne, case_ids, islice(case_ids, 1, None))) + 1 != len(cases) or "" in cases:
+        return None
+    n = len(case_ids)
+    del case_ids
     activities = tuple(fields[5::4])
-    if "" in case_ids or "" in activities:
+    if "" in activities:
         return None
     originators = tuple([o or None for o in fields[6::4]])
     stamps = fields[7::4]
     del fields
-    n = len(case_ids)
-    cases = Counter(case_ids)  # rows per case, cases in the order of their first rows
-    if sum(map(ne, case_ids, islice(case_ids, 1, None))) + 1 != len(cases):
-        # Some case's rows are apart, as in a log ordered by time: bring
-        # each case's rows together, in file order.
-        rank = dict(zip(cases, range(len(cases))))
-        order = sorted(range(n), key=list(map(rank.__getitem__, case_ids)).__getitem__)
-        activities, originators, stamps = (
-            tuple(map(column.__getitem__, order)) for column in (activities, originators, stamps)
-        )
-    del case_ids
     starts = list(accumulate(cases.values(), initial=0))  # and n, where the last case ends
     if stamps[0]:
         joined = "\n".join(stamps)
