@@ -22,6 +22,8 @@ from .petri import WorkflowNet
 SOURCE_PLACE = "i_W"
 SINK_PLACE = "o_W"
 DEFAULT_ALPHABET_LIMIT = 16
+# The characters that delimit a place name's members.
+_PLACE_SYNTAX = frozenset(',{}"')
 
 CandidatePair = tuple[frozenset[str], frozenset[str]]
 
@@ -168,8 +170,15 @@ def maximal_pairs(pairs: frozenset[CandidatePair] | set[CandidatePair]) -> froze
 
 
 def place_name(a_side: frozenset[str], b_side: frozenset[str]) -> str:
-    """Canonical place name, stable across runs: ``p({A,...},{B,...})``."""
-    return "p({%s},{%s})" % (",".join(sorted(a_side)), ",".join(sorted(b_side)))
+    """Canonical place name, stable across runs: ``p({A,...},{B,...})``.
+
+    A member that holds ``,``, ``{``, ``}`` or ``"`` is written as a JSON
+    string, so that no two pairs share a name."""
+    return "p({%s},{%s})" % (_place_side(a_side), _place_side(b_side))
+
+
+def _place_side(side: frozenset[str]) -> str:
+    return ",".join(name if _PLACE_SYNTAX.isdisjoint(name) else json.dumps(name) for name in sorted(side))
 
 
 def alpha(

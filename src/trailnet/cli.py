@@ -150,11 +150,18 @@ def _check_args(args: argparse.Namespace) -> None:
 
 
 def _write(prefix: Path, texts: dict[str, str]) -> None:
-    """Write each text to ``prefix`` plus its key, printing each path. Every text is
-    encoded before any file is opened, so a failing command leaves no output behind."""
+    """Write each text to ``prefix`` plus its key, then print each path. Every text is
+    encoded before any file is opened, and a failed write removes the files written
+    before it, so a failing command leaves no output behind."""
     encoded = [(Path(f"{prefix}{suffix}"), text.encode("utf-8")) for suffix, text in texts.items()]
-    for path, data in encoded:
-        path.write_bytes(data)
+    for i, (path, data) in enumerate(encoded):
+        try:
+            path.write_bytes(data)
+        except OSError:
+            for written, _ in encoded[:i]:
+                written.unlink(missing_ok=True)
+            raise
+    for path, _ in encoded:
         print(path)
 
 

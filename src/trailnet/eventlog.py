@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import gt, itemgetter, ne
 from types import MappingProxyType, SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
@@ -189,14 +189,6 @@ def log_from_sequences(sequences: Iterable[Sequence[str]]) -> EventLog:
     return EventLog(tuple(traces))
 
 
-def _rows(reader) -> Iterator[list[str]]:
-    # Malformed CSV (an over-long field, say) is a parse error like any other.
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise LogParseError(str(exc), reader.line_num) from None
-
-
 def parse_csv_log(source: str | TextIO) -> EventLog:
     """Parse the CSV interchange format into an :class:`EventLog`.
 
@@ -206,79 +198,23 @@ def parse_csv_log(source: str | TextIO) -> EventLog:
     number for malformed rows.
     """
     text = source.read() if hasattr(source, "read") else source
-    log = _columns(text)
-    if log is not None:
-        return log
-    reader = csv.reader(io.StringIO(text.lstrip("\ufeff"), newline=""))
-    rows = _rows(reader)
-    header = next(rows, None)
-    if header is None:
-        raise LogParseError("missing header row")
-    if tuple(header) != CSV_HEADER:
-        raise LogParseError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}", 1)
-
-    # case id -> its events as (activity, originator, timestamp), in file order
-    cases: dict[str, list[tuple[str, str | None, datetime | None]]] = {}
-    unstamped: dict[str, int] = {}  # case id -> line of its first row without a timestamp
-    for row in rows:
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise LogParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}", reader.line_num)
-        case_id, activity, originator, stamp = row
-        if not case_id:
-            raise LogParseError("empty case_id", reader.line_num)
-        if not activity:
-            raise LogParseError("empty activity", reader.line_num)
-        if stamp:
-            try:
-                timestamp = parse_timestamp(stamp)
-            except LogError as exc:
-                raise LogParseError(str(exc), reader.line_num) from None
-        else:
-            timestamp = None
-            unstamped.setdefault(case_id, reader.line_num)
-        events = cases.get(case_id)
-        if events is None:
-            events = cases[case_id] = []
-        events.append((activity, originator or None, timestamp))
-
-    traces = []
-    for case_id, events in cases.items():
-        line = unstamped.get(case_id)
-        if line is None:
-            events.sort(key=itemgetter(2))  # stable: ties keep file order
-        activities, originators, timestamps = zip(*events)
-        events.clear()  # the rows' tuples go now, not when the whole log is built
-        if line is not None and any(timestamps):
-            raise LogParseError(f"case {case_id!r} mixes timestamped and untimestamped rows", line)
-        traces.append(_trace(case_id, activities, originators, timestamps))
-    return EventLog(tuple(traces))
+    return _log(_columns(text) or _rows(text))
 
 
-def _columns(text: str) -> EventLog | None:
-    """:func:`parse_csv_log` of a quote-free log, read column by column, or None.
+def _columns(text: str) -> list | None:
+    """The columns that :func:`_rows` gives for a quote-free log, split in bulk, or None.
 
-    In text without a quote, ``\\r`` or NUL, the csv module reads exactly
-    the fields that splitting at ``\\n`` and ``,`` gives. So the text is
-    split once, each check runs over a whole column, and each case is one
-    slice of the columns. None leaves the text to the row parser, which
-    gives the same log or raises the error with its line number. That
-    happens for text that holds one of those characters or breaks a rule,
-    and for a blank line, a log without rows, a log in which some case's
-    rows are apart or a log that mixes stamped and unstamped rows.
-    """
+    In text without a quote, ``\\r`` or NUL, the csv module reads the fields
+    that splitting at ``\\n`` and ``,`` gives, so each check runs over a
+    whole column. None, for a broken rule, a blank line, no rows or stamped
+    and unstamped rows together, leaves the text to :func:`_rows`."""
     # A NUL is a csv.Error before Python 3.11 and a character after.
     if '"' in text or "\r" in text or "\0" in text:
         return None
     lines = text.lstrip("\ufeff").split("\n")
     if not lines[-1]:
         lines.pop()  # the final line end
-    if (
-        len(lines) < 2
-        or lines[0] != ",".join(CSV_HEADER)
-        or set(map(str.count, lines, repeat(","))) != {3}
-    ):
+    if len(lines) < 2 or lines[0] != ",".join(CSV_HEADER) or set(map(str.count, lines, repeat(","))) != {3}:
         return None
     fields = ",".join(lines).split(",")
     del lines
@@ -287,20 +223,14 @@ def _columns(text: str) -> EventLog | None:
         return None
     # The header's four fields come first.
     case_ids = fields[4::4]
-    cases = Counter(case_ids)  # rows per case, cases in the order of their first rows
-    # A case whose rows are apart, as in a log ordered by time, or an empty
-    # case id; checked before the other columns are built.
-    if sum(map(ne, case_ids, islice(case_ids, 1, None))) + 1 != len(cases) or "" in cases:
-        return None
-    n = len(case_ids)
-    del case_ids
     activities = tuple(fields[5::4])
-    if "" in activities:
+    if not all(case_ids) or not all(activities):  # an empty case id or activity
         return None
-    originators = tuple([o or None for o in fields[6::4]])
+    originators = fields[6::4]
+    originators = tuple(originators if all(originators) else [o or None for o in originators])
     stamps = fields[7::4]
     del fields
-    starts = list(accumulate(cases.values(), initial=0))  # and n, where the last case ends
+    timestamps = None
     if stamps[0]:
         joined = "\n".join(stamps)
         if _STAMP_COLUMN.fullmatch(joined) is None:
@@ -309,29 +239,91 @@ def _columns(text: str) -> EventLog | None:
             timestamps = tuple(map(datetime.fromisoformat, joined.replace("Z", "+00:00").split("\n")))
         except ValueError:
             return None
-        del joined
-        # Rows stamped before the row above them; those that start a case
-        # do not count, and the cases of the others are sorted.
-        late = set(compress(range(1, n), map(gt, timestamps, islice(timestamps, 1, None))))
-        unsorted = set(map(bisect_right, repeat(starts), late.difference(starts)))
     elif any(stamps):
         return None
-    else:
-        timestamps = (None,) * n
-        unsorted = set()
-    del stamps
+    return [case_ids, activities, originators, timestamps, range(2, len(case_ids) + 2)]
 
-    traces = []
-    for k, (case_id, start, end) in enumerate(zip(cases, starts, islice(starts, 1, None)), 1):
-        acts, origs, times = activities[start:end], originators[start:end], timestamps[start:end]
-        if k in unsorted:  # stable: ties keep file order
-            order = sorted(range(end - start), key=times.__getitem__)
-            acts, origs, times = (tuple(map(column.__getitem__, order)) for column in (acts, origs, times))
-        traces.append(_trace(case_id, acts, origs, times))
+
+def _rows(text: str) -> list:
+    """The columns of a log read row by row with the csv module: case ids, activities, originators,
+    timestamps (None when no row has one) and each row's line. Raises the first bad row's error."""
+    reader = csv.reader(io.StringIO(text.lstrip("\ufeff"), newline=""))
+    case_ids, activities, originators, timestamps, lines = [], [], [], [], []
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise LogParseError("missing header row")
+        if tuple(header) != CSV_HEADER:
+            raise LogParseError(f"bad header {header!r}, expected {','.join(CSV_HEADER)}", 1)
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != len(CSV_HEADER):
+                raise LogParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}", line)
+            case_id, activity, originator, stamp = row
+            if not case_id:
+                raise LogParseError("empty case_id", line)
+            if not activity:
+                raise LogParseError("empty activity", line)
+            try:
+                timestamps.append(parse_timestamp(stamp) if stamp else None)
+            except LogError as exc:
+                raise LogParseError(str(exc), line) from None
+            case_ids.append(case_id)
+            activities.append(activity)
+            originators.append(originator or None)
+            lines.append(line)
+    except csv.Error as exc:  # malformed CSV, such as an over-long field
+        raise LogParseError(str(exc), reader.line_num) from None
+    timestamps = tuple(timestamps) if any(timestamps) else None
+    return [case_ids, tuple(activities), tuple(originators), timestamps, lines]
+
+
+def _log(columns: list) -> EventLog:
+    """The log of the columns that :func:`_columns` or :func:`_rows` gives."""
+    case_ids, activities, originators, timestamps, lines = columns
+    columns.clear()  # so that each column is freed once it is used
+    n = len(case_ids)
+    cases = Counter(case_ids)  # rows per case, cases in the order of their first rows
+    stamped = timestamps is not None
+    timestamps = timestamps or (None,) * n
+    if n and sum(map(ne, case_ids, islice(case_ids, 1, None))) >= len(cases):
+        # A case's rows are apart, as in a log ordered by time: regroup the rows stably.
+        case_ids = list(map(dict(zip(cases, count())).__getitem__, case_ids))  # as ranks, in first-row order
+        get = itemgetter(*sorted(range(n), key=case_ids.__getitem__))
+        activities, originators, timestamps, lines = map(get, (activities, originators, timestamps, lines))
+        del get
+    del case_ids
+    starts = list(accumulate(cases.values(), initial=0))
+    ends = starts[1:]
+    unsorted = set()  # the indices of the cases to sort by stamp
+    if stamped:
+        try:  # rows stamped before the row above them
+            late = set(compress(range(1, n), map(gt, timestamps, islice(timestamps, 1, None))))
+        except TypeError:  # a row without a stamp, which only _rows gives
+            for k, (case_id, start, end) in enumerate(zip(cases, starts, ends)):
+                times = timestamps[start:end]
+                if None not in times:
+                    unsorted.add(k)
+                elif any(times):
+                    line = lines[start + times.index(None)]
+                    raise LogParseError(f"case {case_id!r} mixes timestamped and untimestamped rows", line)
+        else:  # the cases of those that do not start a case
+            unsorted = set(map(bisect_right, repeat(ends), late.difference(starts)))
+    traces = [
+        _trace(case_id, activities[start:end], originators[start:end], timestamps[start:end])
+        for case_id, start, end in zip(cases, starts, ends)
+    ]
+    for k in unsorted:  # stable: ties keep file order
+        t = traces[k]
+        order = sorted(range(len(t.timestamps)), key=t.timestamps.__getitem__)
+        events = (t.activities, t.originators, t.timestamps)
+        traces[k] = _trace(t.case_id, *(tuple(map(column.__getitem__, order)) for column in events))
     # Free the columns before making the tuple that outlives this call:
     # made past them, it would split the memory they free, which a later
     # large allocation (such as mine's 10 MB X_W text) could then not reuse.
-    del activities, originators, timestamps, starts, cases
+    del activities, originators, timestamps, lines, starts, ends, cases
     return EventLog(tuple(traces))
 
 

@@ -76,6 +76,9 @@ _pair_sets = st.lists(
     max_size=3,
 ).map(lambda parts: frozenset().union(*parts))
 
+# Place sides over names that hold a place name's delimiters, or a backslash.
+_PLACE_SIDE = st.frozensets(st.sampled_from(["a", "b", "a,b", "{", "}", '"', '"a', 'b"', "\\"]))
+
 
 def _mine_quietly(log):
     with warnings.catch_warnings():
@@ -251,6 +254,22 @@ class TestAlpha:
     def test_alphabet_limit_propagates(self, sample_log):
         with pytest.raises(AlphabetLimitError):
             alpha(sample_log, alphabet_limit=4)
+
+    def test_names_holding_place_syntax_get_places_of_their_own(self):
+        # ({a,b},{c}) and ({"a,b"},{c}) are both maximal pairs.
+        log = log_from_sequences([["a", "c"], ["b", "c"], ["a", "a,b", "b", "c"], ["x", "a,b", "c"]])
+        net, intermediates = alpha(log)
+        assert len(intermediates.y_w) == 4
+        assert len(net.places) == len(intermediates.y_w) + 2
+        assert place_name(frozenset(["a,b"]), frozenset("c")) == 'p({"a,b"},{c})'
+
+    @given(st.lists(_PLACE_SIDE, unique=True, max_size=40), _PLACE_SIDE)
+    @example([frozenset({"a", "b"}), frozenset({"a,b"})], frozenset())
+    @example([frozenset({'"a', 'b"'}), frozenset({'"a,b"'})], frozenset({"a"}))
+    def test_place_name_is_injective(self, sides, other):
+        """Distinct sides give distinct names, on either side of a place."""
+        assert len({place_name(side, other) for side in sides}) == len(sides)
+        assert len({place_name(other, side) for side in sides}) == len(sides)
 
     def test_activity_colliding_with_reserved_place_name_rejected(self):
         from trailnet.petri import NetStructureError

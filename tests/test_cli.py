@@ -570,6 +570,18 @@ class TestErrors:
         assert not any(Path(str(prefix) + suffix).exists() for suffix in outputs)
         assert list(out_dir.iterdir()) == []
 
+    def test_failed_write_removes_the_files_written_before_it(self, tmp_path, sample_csv_path, capsys):
+        # mine writes out.net.json before out.net.dot, which a directory blocks.
+        (tmp_path / "out.net.dot").mkdir()
+        prefix = str(tmp_path / "out")
+        assert main(["mine", "--input", str(sample_csv_path), "--output", prefix]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err)["code"] == 1
+        assert not Path(prefix + ".net.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "out.net.dot"]
+
     def test_nul_in_a_name_exits_or_reports_one_line(self, tmp_path, capsys):
         # Python 3.10's csv.writer cannot write a NUL; 3.11 on writes it bare.
         path = tmp_path / "records.jsonl"

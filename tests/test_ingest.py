@@ -8,11 +8,12 @@ from __future__ import annotations
 import json
 import random
 from datetime import datetime, timedelta, timezone
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trailnet.eventlog import Trace, _columns, log_from_sequences, parse_csv_log, serialize_csv_log
+from trailnet.eventlog import Trace, _columns, _log, _rows, log_from_sequences, parse_csv_log, serialize_csv_log
 from trailnet.reviews import (
     ByArtifact,
     ByCommit,
@@ -75,18 +76,18 @@ def _row(draw, case_id, stamps):
 
 
 @st.composite
-def _csv_texts(draw):
+def _csv_texts(draw, shuffled=False):
     """Log CSV, most of it valid and quote-free: a header (sometimes after a
     BOM, or wrong), then stamped or unstamped cases whose rows are adjacent
-    or, now and then, shuffled. Stamps are drawn per row, so they come
-    unsorted and with ties. Rows sometimes have a flaw, and the text
-    sometimes holds an arbitrary line, ends in ``\\r\\n`` or has no final
-    line end."""
+    or, now and then or when ``shuffled``, shuffled across cases. Stamps are
+    drawn per row, so they come unsorted and with ties. Rows sometimes have
+    a flaw, and the text sometimes holds an arbitrary line, ends in
+    ``\\r\\n`` or has no final line end."""
     header = draw(st.sampled_from([HEADER] * 20 + ["\ufeff" + HEADER, " " + HEADER, "case_id,activity"]))
     stamps = draw(st.sampled_from([[""], _GOOD_STAMPS]))
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     rows = [draw(_row(str(case), stamps)) for case, size in enumerate(sizes, 1) for _ in range(size)]
-    if draw(st.integers(0, 5)) == 0:
+    if shuffled or draw(st.integers(0, 5)) == 0:
         rows = draw(st.permutations(rows))
     if draw(st.integers(0, 11)) == 0:
         rows.insert(draw(st.integers(0, len(rows))), draw(st.text(max_size=8)))
@@ -142,6 +143,19 @@ def _outcome(parse, *args):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
+def _bulk(text):
+    """The log that the bulk tokenizer and the builder make of ``text``, or None."""
+    columns = _columns(text)
+    return None if columns is None else _log(columns)
+
+
+def _assert_same_log(log, text):
+    """``log`` is the reference's log of ``text``, down to each value's type."""
+    expected = reference_parse_csv_log(text)
+    assert log == expected
+    assert repr(log) == repr(expected)
+
+
 def _assert_built_as_public(log):
     for trace in log.traces:
         assert Trace(trace.case_id, trace.activities, trace.originators, trace.timestamps) == trace
@@ -152,7 +166,7 @@ def _assert_built_as_public(log):
 
 class TestParseCsvLog:
     @settings(max_examples=300)
-    @given(st.one_of(_CSV_TEXT, _csv_texts(), st.text(max_size=40)))
+    @given(st.one_of(_CSV_TEXT, _csv_texts(), _csv_texts(shuffled=True), st.text(max_size=40)))
     @example(HEADER + "\n1,A,,2012-05-03T12:00:00Z\n1,B,,\n1,C,,2012-13-03T12:00:00Z\n")
     @example(HEADER + "\n1,A,,\n2,B,,2012-05-03T12:00:00Z\n1,C,,2012-05-03T12:00:00Z\n")
     @example("\ufeff" + HEADER + "\n1,B,,2012-05-03T12:00:01Z\n1,A,,2012-05-03T12:00:00Z\n")
@@ -173,11 +187,21 @@ class TestParseCsvLog:
     @example(HEADER + "\n1,A,,2012-05-03T12:00:01Z\n2,B,,2012-05-03T12:00:00Z\n2,C,,2012-05-03T12:00:00Z\n")
     @example(HEADER + "\n1,A,,\n2,B,u,\n1,C,,\n3,D,,\n2,E,,\n")
     def test_columnar_path_matches_reference_or_declines(self, text):
-        log = _columns(text)
+        log = _bulk(text)
         if log is not None:
-            expected = reference_parse_csv_log(text)
-            assert log == expected
-            assert repr(log) == repr(expected)
+            _assert_same_log(log, text)
+
+    @settings(max_examples=300)
+    @given(st.one_of(_csv_texts(), _csv_texts(shuffled=True)))
+    @example(HEADER + "\n1,A,u,\n2,B,,\n1,C,v,\n")
+    @example(HEADER + "\n1,B,,2012-05-03T12:00:01Z\n2,A,,2012-05-03T12:00:00Z\n1,A,,2012-05-03T12:00:00Z\n")
+    def test_tokenizers_agree(self, text):
+        """Whenever the bulk tokenizer accepts a text, it gives the columns
+        that the csv module's row tokenizer gives."""
+        columns = _columns(text)
+        if columns is not None:
+            rows = _rows(text)
+            assert [c if c is None else list(c) for c in columns] == [c if c is None else list(c) for c in rows]
 
     @pytest.mark.parametrize(
         "text",
@@ -194,7 +218,6 @@ class TestParseCsvLog:
             pytest.param(HEADER + "\n1,A,,\n1," + "x" * 131_073 + ",,\n", id="overlong-field"),
             pytest.param(HEADER + "\n,A,,\n", id="empty-case-id"),
             pytest.param(HEADER + "\n1,,,\n", id="empty-activity"),
-            pytest.param(HEADER + "\n1,A,,\n2,B,,\n1,C,,\n", id="case-rows-apart"),
             pytest.param(HEADER + "\n1,A,,2012-05-03T12:00:00Z\n2,B,,\n", id="mixed-stamps"),
             pytest.param(HEADER + "\n1,A,,\n2,B,,2012-05-03T12:00:00Z\n", id="mixed-stamps-unstamped-first"),
             pytest.param(HEADER + "\n1,A,,2012-5-3T8:0:0Z\n", id="stamp-shape"),
@@ -202,10 +225,26 @@ class TestParseCsvLog:
         ],
     )
     def test_columnar_path_declines(self, text):
-        """Text outside the columnar path's domain goes to the row parser,
+        """Text outside the columnar path's domain goes to the row tokenizer,
         which gives the reference's result or error."""
         assert _columns(text) is None
         assert _outcome(parse_csv_log, text) == _outcome(reference_parse_csv_log, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(HEADER + "\n1,A,,\n2,B,,\n1,C,,\n", id="case-rows-apart"),
+            pytest.param(
+                HEADER + "\n1,B,,2012-05-03T12:00:01Z\n2,C,,2012-05-03T11:00:00Z\n1,A,u,2012-05-03T12:00:00Z\n",
+                id="case-rows-apart-and-unsorted",
+            ),
+        ],
+    )
+    def test_columnar_path_accepts(self, text):
+        """A log whose cases' rows are apart is read in bulk and regrouped."""
+        log = _bulk(text)
+        assert log is not None
+        _assert_same_log(log, text)
 
     @pytest.mark.parametrize(
         "built",
@@ -217,12 +256,11 @@ class TestParseCsvLog:
     )
     def test_a_written_log_takes_the_columnar_path(self, built):
         """A log as ``build-log`` and ``export`` write it is read in bulk, so
-        a silent fall back to the row parser cannot pass."""
+        a silent fall back to the row tokenizer cannot pass."""
         text = serialize_csv_log(built)
-        log = _columns(text)
+        log = _bulk(text)
         assert log is not None
-        assert log == reference_parse_csv_log(text)
-        assert repr(log) == repr(reference_parse_csv_log(text))
+        _assert_same_log(log, text)
 
     def test_columnar_path_sorts_cases_stably(self):
         """Cases come in file order, and a case's rows are sorted by stamp,
@@ -236,26 +274,27 @@ class TestParseCsvLog:
             "2,F,,2012-05-03T11:00:00Z\n"
             "3,E,,2012-05-03T10:00:00Z\n"
         )
-        log = _columns(text)
+        log = _bulk(text)
         assert log is not None
         assert [(t.case_id, t.activities, t.originators) for t in log.traces] == [
             ("1", ("A", "C", "B"), (None, "v", "u")),
             ("2", ("D", "F"), (None, None)),
             ("3", ("E",), (None,)),
         ]
-        assert log == reference_parse_csv_log(text)
-        assert repr(log) == repr(reference_parse_csv_log(text))
+        _assert_same_log(log, text)
 
-    def test_a_log_ordered_by_time_is_read_row_by_row(self):
+    def test_a_log_ordered_by_time_is_read_in_bulk(self):
         """A log whose rows are ordered by time across cases, so that a
-        case's rows are apart, is left to the row parser, which groups it."""
+        case's rows are apart, is read in bulk and regrouped."""
         built = build_log(random_records(random.Random(1)), ByArtifact()).log
         rows = serialize_csv_log(built).splitlines()[1:]
         text = "\n".join([HEADER, *sorted(rows, key=lambda row: row.rsplit(",", 1)[1])]) + "\n"
-        assert _columns(text) is None
-        log = parse_csv_log(text)
+        case_ids = [row.split(",", 1)[0] for row in text.splitlines()[1:]]
+        assert len(list(groupby(case_ids))) > len(set(case_ids))  # some case's rows are apart
+        log = _bulk(text)
+        assert log is not None
+        _assert_same_log(log, text)
         assert sorted(log.traces, key=repr) == sorted(built.traces, key=repr)
-        assert repr(log) == repr(reference_parse_csv_log(text))
 
 
 class TestParseRecordsJsonl:
