@@ -181,6 +181,18 @@ def _place_side(side: frozenset[str]) -> str:
     return ",".join(name if _PLACE_SYNTAX.isdisjoint(name) else json.dumps(name) for name in sorted(side))
 
 
+def _place_names(places: list[str], activities: frozenset[str]) -> dict[str, str]:
+    """Each place's name in the net: its own, or, when an activity has that
+    name, the first of ``name~1``, ``name~2``, ... that no activity or place
+    has. A renamed place ends in ``~`` and digits, after its own name, and
+    no place's own name does, so no two places get one name."""
+    names = dict(zip(places, places))
+    taken = activities.union(places)
+    for place in activities.intersection(places):
+        names[place] = next(n for n in (f"{place}~{k}" for k in itertools.count(1)) if n not in taken)
+    return names
+
+
 def alpha(
     log: EventLog, alphabet_limit: int = DEFAULT_ALPHABET_LIMIT
 ) -> tuple[WorkflowNet, AlphaIntermediates]:
@@ -195,15 +207,16 @@ def alpha(
     y_w = _direct_maximal_pairs(footprint(log))
     x_w = _downward_closure(y_w)
 
-    places = {SOURCE_PLACE, SINK_PLACE}
+    pairs = {place_name(a_side, b_side): (a_side, b_side) for a_side, b_side in y_w}
+    names = _place_names([SOURCE_PLACE, SINK_PLACE, *pairs], t_w)
+    source, sink = names[SOURCE_PLACE], names[SINK_PLACE]
     arcs: set[tuple[str, str]] = set()
-    for a_side, b_side in y_w:
-        place = place_name(a_side, b_side)
-        places.add(place)
+    for place, (a_side, b_side) in pairs.items():
+        place = names[place]
         arcs.update((a, place) for a in a_side)
         arcs.update((place, b) for b in b_side)
-    arcs.update((SOURCE_PLACE, t) for t in t_i)
-    arcs.update((t, SINK_PLACE) for t in t_o)
+    arcs.update((source, t) for t in t_i)
+    arcs.update((t, sink) for t in t_o)
 
     connected = {node for arc in arcs for node in arc}
     for task in sorted(t_w - connected):
@@ -215,11 +228,11 @@ def alpha(
         )
 
     net = WorkflowNet(
-        places=frozenset(places),
+        places=frozenset(names.values()),
         transitions=frozenset(t_w),
         arcs=frozenset(arcs),
-        source=SOURCE_PLACE,
-        sink=SINK_PLACE,
+        source=source,
+        sink=sink,
     )
     return net, AlphaIntermediates(t_w, t_i, t_o, x_w, y_w)
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import gt, itemgetter, ne
+from operator import attrgetter, gt, itemgetter, ne
 from types import MappingProxyType, SimpleNamespace
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 CSV_HEADER = ("case_id", "activity", "originator", "timestamp")
 
@@ -66,9 +66,13 @@ def format_timestamp(instant: datetime) -> str:
     return _stamp_text(_normalize_timestamp(instant))
 
 
+_STAMP_FORMAT = "%04d-%02d-%02dT%02d:%02d:%02dZ"
+_stamp_fields = attrgetter("year", "month", "day", "hour", "minute", "second")
+
+
 def _stamp_text(t: datetime) -> str:
     """:func:`format_timestamp` of a datetime that is already whole-second UTC."""
-    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (t.year, t.month, t.day, t.hour, t.minute, t.second)
+    return _STAMP_FORMAT % _stamp_fields(t)
 
 
 def _normalize_timestamp(instant: datetime) -> datetime:
@@ -216,10 +220,12 @@ def _columns(text: str) -> list | None:
         lines.pop()  # the final line end
     if len(lines) < 2 or lines[0] != ",".join(CSV_HEADER) or set(map(str.count, lines, repeat(","))) != {3}:
         return None
+    limit = csv.field_size_limit()
+    # A field is no longer than its line: the fields are measured only when a line is too long.
+    long_line = len(text) > limit and max(map(len, lines)) > limit
     fields = ",".join(lines).split(",")
     del lines
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, fields)) > limit:
+    if long_line and max(map(len, fields)) > limit:
         return None
     # The header's four fields come first.
     case_ids = fields[4::4]
@@ -346,19 +352,30 @@ def _csv_text(rows: Iterable[Sequence[str | None]]) -> str:
 
 
 def serialize_csv_log(log: EventLog) -> str:
-    """Canonical CSV rendering: exact header, ``\\n`` line endings."""
+    """Canonical CSV rendering: exact header, ``\\n`` line endings.
 
-    def rows() -> Iterator[Sequence[str | None]]:
-        yield CSV_HEADER
-        for trace in log.traces:
-            case_id, originators, stamps = trace.case_id, trace.originators, trace.timestamps
-            # A running index rather than zip(): a trace is often one or two
-            # events, and zip's three iterators then cost more than its rows.
-            i = 0
-            for activity in trace.activities:
-                stamp = stamps[i]
-                # The writer writes None as an empty field.
-                yield (case_id, activity, originators[i], stamp and _stamp_text(stamp))
-                i += 1
-
-    return _csv_text(rows())
+    The log is written by columns. Unless a case id, activity or
+    originator holds a character that :func:`_csv_text` quotes or, before
+    Python 3.11, rejects (a comma, a quote, ``\\n``, ``\\r`` or NUL), the
+    csv module would write every field as it is, so the text is then one
+    join per row and one over the rows. Otherwise :func:`_csv_text` writes
+    the rows.
+    """
+    traces = log.traces
+    case_ids = list(map(attrgetter("case_id"), traces))
+    activities = list(chain.from_iterable(map(attrgetter("activities"), traces)))
+    originators = list(chain.from_iterable(map(attrgetter("originators"), traces)))
+    if None in originators:
+        originators = ["" if o is None else o for o in originators]
+    fields = "".join(chain(case_ids, activities, originators))
+    plain = not any(map(fields.__contains__, ',"\n\r\0'))
+    del fields
+    stamps = list(chain.from_iterable(map(attrgetter("timestamps"), traces)))
+    texts = map(_STAMP_FORMAT.__mod__, map(_stamp_fields, filter(None, stamps)))
+    if None in stamps:  # an unstamped trace's events get empty stamps
+        texts = [next(texts) if stamp else "" for stamp in stamps]
+    lengths = map(len, map(attrgetter("activities"), traces))
+    rows = zip(chain.from_iterable(map(repeat, case_ids, lengths)), activities, originators, texts)
+    if plain:
+        return "\n".join(chain((",".join(CSV_HEADER),), map(",".join, rows), ("",)))
+    return _csv_text(chain((CSV_HEADER,), rows))

@@ -17,7 +17,7 @@ import re
 from datetime import datetime, timezone
 from typing import Mapping
 
-from trailnet.eventlog import CSV_HEADER, EventLog, LogError, LogParseError, Trace
+from trailnet.eventlog import CSV_HEADER, EventLog, LogError, LogParseError, Trace, _csv_text
 from trailnet.petri import ReplayResult, TraceGenerationResult, WorkflowNet
 from trailnet.relations import FootprintMatrix, Relation
 from trailnet.reviews import (
@@ -265,6 +265,31 @@ def reference_parse_csv_log(source) -> EventLog:
             )
         )
     return EventLog(tuple(traces))
+
+
+def reference_serialize_csv_log(log: EventLog) -> str:
+    """The writer with one csv-writer row per event; its csv-module path
+    (``_csv_text``) is the one the column writer falls back to."""
+
+    def rows():
+        yield CSV_HEADER
+        for trace in log.traces:
+            case_id, originators, stamps = trace.case_id, trace.originators, trace.timestamps
+            i = 0
+            for activity in trace.activities:
+                stamp = stamps[i]
+                # The writer writes None as an empty field.
+                yield (
+                    case_id,
+                    activity,
+                    originators[i],
+                    stamp
+                    and "%04d-%02d-%02dT%02d:%02d:%02dZ"
+                    % (stamp.year, stamp.month, stamp.day, stamp.hour, stamp.minute, stamp.second),
+                )
+                i += 1
+
+    return _csv_text(rows())
 
 
 _REQUIRED_FIELDS = ("artifact_id", "submitter", "reviewer", "comment", "timestamp")

@@ -80,6 +80,28 @@ _pair_sets = st.lists(
 _PLACE_SIDE = st.frozensets(st.sampled_from(["a", "b", "a,b", "{", "}", '"', '"a', 'b"', "\\"]))
 
 
+# Activity names shaped like the places alpha makes: plain names, the
+# source's and sink's names, and names made of a place name's pieces.
+_NAMES_LIKE_PLACES = st.sampled_from(["a", "b", "c", "i_W", "o_W", "i_W~1", "p({a},{b})", "p({a},{b})~1"]) | st.lists(
+    st.sampled_from(["p(", "{", "}", ",", '"', ")", "a", "b"]), min_size=1, max_size=6
+).map("".join)
+
+
+def _place_signatures(net, rename=lambda t: t):
+    """Each place's renamed input and output transitions, the source's and
+    the sink's marked, as a sorted list."""
+    inputs = {p: set() for p in net.places}
+    outputs = {p: set() for p in net.places}
+    for tail, head in net.arcs:
+        if tail in net.places:
+            outputs[tail].add(rename(head))
+        else:
+            inputs[head].add(rename(tail))
+    return sorted(
+        (p == net.source, p == net.sink, sorted(inputs[p]), sorted(outputs[p])) for p in net.places
+    )
+
+
 def _mine_quietly(log):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DanglingActivityWarning)
@@ -271,11 +293,40 @@ class TestAlpha:
         assert len({place_name(side, other) for side in sides}) == len(sides)
         assert len({place_name(other, side) for side in sides}) == len(sides)
 
-    def test_activity_colliding_with_reserved_place_name_rejected(self):
-        from trailnet.petri import NetStructureError
+    @pytest.mark.parametrize(
+        "sequences, renamed",
+        [
+            ([["a", "b"], ["p({a},{b})"]], {"p({a},{b})": "p({a},{b})~1"}),
+            ([["a", "b"], ["i_W"]], {SOURCE_PLACE: "i_W~1"}),
+            ([["o_W", "x"]], {SINK_PLACE: "o_W~1"}),
+            ([["i_W", "o_W"], ["i_W~1"]], {SOURCE_PLACE: "i_W~2", SINK_PLACE: "o_W~1"}),
+        ],
+        ids=["pair-place", "source", "sink", "source-and-sink"],
+    )
+    def test_place_named_like_an_activity_is_renamed(self, sequences, renamed):
+        log = log_from_sequences(sequences)
+        net, intermediates = alpha(log)
+        names = {SOURCE_PLACE, SINK_PLACE} | {place_name(a, b) for a, b in intermediates.y_w}
+        assert net.places == {renamed.get(name, name) for name in names}
+        assert net.source == renamed.get(SOURCE_PLACE, SOURCE_PLACE)
+        assert net.sink == renamed.get(SINK_PLACE, SINK_PLACE)
+        assert all(replay(net, trace).fits for trace in log.variants)
 
-        with pytest.raises(NetStructureError):
-            alpha(log_from_sequences([["i_W", "B"]]))
+    @settings(deadline=None)
+    @given(st.lists(st.lists(_NAMES_LIKE_PLACES, min_size=1, max_size=4), min_size=1, max_size=4))
+    @example([["a", "b"], ["p({a},{b})"]])
+    @example([["i_W", "o_W"], ["i_W~1"]])
+    def test_names_like_places_never_break_mining(self, sequences):
+        """No activity name makes alpha fail: its net is the net of the log
+        with every activity renamed to a plain name, and a place keeps its
+        own name unless an activity has it."""
+        net, intermediates = _mine_quietly(log_from_sequences(sequences))
+        alphabet = sorted({a for seq in sequences for a in seq})
+        plain = {a: f"t{i}" for i, a in enumerate(alphabet)}
+        expected, _ = _mine_quietly(log_from_sequences([[plain[a] for a in seq] for seq in sequences]))
+        assert _place_signatures(net, plain.get) == _place_signatures(expected)
+        names = {SOURCE_PLACE, SINK_PLACE} | {place_name(a, b) for a, b in intermediates.y_w}
+        assert names - net.places <= set(alphabet)
 
     def test_dangling_activity_warns(self):
         # x only ever borders a and b in both orders: no causal partners,

@@ -165,6 +165,24 @@ class TestMine:
         assert "dangles" in _stderr_payload(capsys)["warning"]
 
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["1,a,,", "1,b,,", '2,"p({a},{b})",,'],
+            ["1,a,,", "1,b,,", "2,i_W,,"],
+            ["1,o_W,,", "1,x,,"],
+        ],
+        ids=["pair-place", "source", "sink"],
+    )
+    def test_activity_named_like_a_place_mines(self, tmp_path, capsys, rows):
+        log_path = tmp_path / "clash.csv"
+        log_path.write_text("\n".join(["case_id,activity,originator,timestamp", *rows]) + "\n", encoding="utf-8")
+        assert main(["mine", "--input", str(log_path), "--output", str(tmp_path / "m")]) == 0
+        assert capsys.readouterr().err == ""
+        net = json.loads((tmp_path / "m.net.json").read_text(encoding="utf-8"))
+        assert not set(net["places"]) & set(net["transitions"])
+
+
 class TestSocial:
     def test_handover_from_log(self, tmp_path, records_path):
         log_path = tmp_path / "log.csv"

@@ -12,6 +12,7 @@ from trailnet.eventlog import (
     LogError,
     LogParseError,
     Trace,
+    _columns,
     format_timestamp,
     log_from_sequences,
     parse_csv_log,
@@ -306,6 +307,14 @@ class TestParse:
         with pytest.raises(LogParseError) as err:
             parse_csv_log(text)
         assert err.value.line == 1
+
+    def test_a_line_over_a_lowered_limit_is_read_in_bulk(self, field_size_limit):
+        """Every line is longer than the limit, but no field is, so the bulk
+        tokenizer still reads the text."""
+        field_size_limit(10)
+        text = "case_id,activity,originator,timestamp\n1,abcdefghij,,\n"
+        assert _columns(text) is not None
+        assert parse_csv_log(text).traces[0].activities == ("abcdefghij",)
 
     @pytest.mark.parametrize("first", ["A", '"A"'], ids=["quote-free", "quoted"])
     def test_nul_is_read_as_the_csv_module_reads_it(self, first):

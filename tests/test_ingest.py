@@ -9,11 +9,22 @@ import json
 import random
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trailnet.eventlog import Trace, _columns, _log, _rows, log_from_sequences, parse_csv_log, serialize_csv_log
+from trailnet import eventlog
+from trailnet.eventlog import (
+    EventLog,
+    Trace,
+    _columns,
+    _log,
+    _rows,
+    log_from_sequences,
+    parse_csv_log,
+    serialize_csv_log,
+)
 from trailnet.reviews import (
     ByArtifact,
     ByCommit,
@@ -24,7 +35,12 @@ from trailnet.reviews import (
     parse_records_jsonl,
 )
 
-from .oracles import reference_build_log, reference_parse_csv_log, reference_parse_records_jsonl
+from .oracles import (
+    reference_build_log,
+    reference_parse_csv_log,
+    reference_parse_records_jsonl,
+    reference_serialize_csv_log,
+)
 from .reviewgen import random_records
 from .test_cli import _CSV_TEXT, _JSON, _RECORDS_TEXT, _lines
 
@@ -149,6 +165,24 @@ def _bulk(text):
     return None if columns is None else _log(columns)
 
 
+class _CsvModuleCalled(Exception):
+    pass
+
+
+def _refuse(rows):
+    raise _CsvModuleCalled
+
+
+def _bulk_text(log):
+    """The text ``serialize_csv_log`` writes for ``log`` by columns alone,
+    or None when it would hand the rows to the csv module."""
+    with mock.patch.object(eventlog, "_csv_text", _refuse):
+        try:
+            return serialize_csv_log(log)
+        except _CsvModuleCalled:
+            return None
+
+
 def _assert_same_log(log, text):
     """``log`` is the reference's log of ``text``, down to each value's type."""
     expected = reference_parse_csv_log(text)
@@ -255,9 +289,10 @@ class TestParseCsvLog:
         ids=["review-log", "unstamped"],
     )
     def test_a_written_log_takes_the_columnar_path(self, built):
-        """A log as ``build-log`` and ``export`` write it is read in bulk, so
-        a silent fall back to the row tokenizer cannot pass."""
-        text = serialize_csv_log(built)
+        """A log as ``build-log`` and ``export`` write it is written and read
+        in bulk, so a silent fall back to the csv module cannot pass."""
+        text = _bulk_text(built)
+        assert text == reference_serialize_csv_log(built)
         log = _bulk(text)
         assert log is not None
         _assert_same_log(log, text)
@@ -295,6 +330,56 @@ class TestParseCsvLog:
         assert log is not None
         _assert_same_log(log, text)
         assert sorted(log.traces, key=repr) == sorted(built.traces, key=repr)
+
+
+# Names with every character the csv module quotes or, before Python 3.11,
+# rejects, and a line separator that it writes as it is; and names with none.
+_ANY_NAME = st.text(st.sampled_from(["a", ",", '"', "\n", "\r", "\0", "\u2028"]), min_size=1, max_size=3)
+_PLAIN_NAME = st.text(st.sampled_from(["a", "b", " ", "\u2028", "\u00e9"]), min_size=1, max_size=3)
+_STAMP = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59), timezones=st.just(UTC)
+).map(lambda t: t.replace(microsecond=0))
+
+
+@st.composite
+def _logs(draw):
+    """Logs of up to four cases, each stamped or not, whose names are all
+    plain or may hold any character; an originator may also be empty or None."""
+    name = draw(st.sampled_from([_PLAIN_NAME, _ANY_NAME]))
+    traces = []
+    for case_id in draw(st.lists(name, unique=True, max_size=4)):
+        size = draw(st.integers(1, 3))
+        activities = draw(st.lists(name, min_size=size, max_size=size))
+        originators = draw(st.lists(st.sampled_from([None, ""]) | name, min_size=size, max_size=size))
+        stamps = sorted(draw(st.lists(_STAMP, min_size=size, max_size=size))) if draw(st.booleans()) else [None] * size
+        traces.append(Trace(case_id, tuple(activities), tuple(originators), tuple(stamps)))
+    return EventLog(tuple(traces))
+
+
+def _stamped(case_id, year):
+    return Trace(case_id, ("a",), ("",), (datetime(year, 1, 2, 3, 4, 5, tzinfo=UTC),))
+
+
+def _unstamped(case_id, activity="a", originator=None):
+    return Trace(case_id, (activity,), (originator,), (None,))
+
+
+class TestSerializeCsvLog:
+    @settings(max_examples=300)
+    @given(_logs())
+    @example(EventLog(()))
+    @example(EventLog((_stamped("1", 999), _unstamped("2"), _stamped("3", 1))))
+    @example(EventLog((_unstamped("1", "a\0b"),)))
+    @example(EventLog((_unstamped("1", "a\rb", "o,p"), _stamped("2\u2028", 2012))))
+    def test_matches_reference(self, log):
+        """The bytes, or the error, of the writer with one csv-writer row per
+        event; a log with no field to quote is written in bulk."""
+        assert _outcome(serialize_csv_log, log) == _outcome(reference_serialize_csv_log, log)
+        fields = [t.case_id for t in log.traces]
+        for t in log.traces:
+            fields += [*t.activities, *filter(None, t.originators)]
+        if not any(c in field for field in fields for c in ',"\n\r\0'):
+            assert _bulk_text(log) is not None
 
 
 class TestParseRecordsJsonl:
