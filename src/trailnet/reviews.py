@@ -9,14 +9,17 @@ the discussion is the initiator; everyone reacting later is a responder.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import count, repeat
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .eventlog import (
     EventLog,
     LogError,
+    _TIMESTAMP,
     format_timestamp,
     parse_timestamp,
     _normalize_timestamp,
@@ -232,6 +235,9 @@ def build_log(
         raise RecordError("no records to build a log from")
     cases = _group_records(records, strategy)
     keywords = [(keyword.lower(), verb_map[keyword]) for keyword in sorted(verb_map or ())]
+    # Each verb's two activity names, made once: (initiator, responder).
+    verbs = {DEFAULT_VERB, *(verb for _, verb in keywords)}
+    names = {verb: (verb + ":initiator", verb + ":responder") for verb in verbs}
     traces = []
     # A record's reviewer is non-empty and its timestamp whole-second UTC, and
     # every case is non-empty with a non-empty key: the traces below need no
@@ -239,10 +245,12 @@ def build_log(
     for case_id in sorted(cases):
         ordered = sorted(cases[case_id], key=_timestamp)  # stable
         opener = ordered[0].reviewer
+        if keywords:
+            pairs = [names[_verb_for(r.comment, keywords)] for r in ordered]
+        else:
+            pairs = repeat(names[DEFAULT_VERB])
         activities, reviewers, timestamps = zip(*[
-            (_verb_for(r.comment, keywords) + (":initiator" if r.reviewer == opener else ":responder"),
-             r.reviewer, r.timestamp)
-            for r in ordered
+            (pair[r.reviewer != opener], r.reviewer, r.timestamp) for pair, r in zip(pairs, ordered)
         ])
         traces.append(_trace(case_id, activities, reviewers, timestamps))
     log = EventLog(tuple(traces))
@@ -271,6 +279,22 @@ _required_values = itemgetter(*_REQUIRED_FIELDS)
 # from an offset and leaves the rest of the line to the caller.
 _scan_once = json.JSONDecoder().scan_once
 
+# One line as json.dumps writes a record with its default separators and the
+# documented key order: the seven fields, then an eighth group that is the
+# whole of any other line. A string body here holds no escape and no control
+# character, so its text is its value; an optional key's null and "" both
+# give "", as an absent key does.
+_BODY = r'[^"\\\x00-\x1f]'
+_RECORD_LINE = re.compile(
+    rf'^(?:\{{"artifact_id": "({_BODY}+)", "submitter": "({_BODY}*)", "reviewer": "({_BODY}+)", '
+    rf'"comment": "({_BODY}*)", "timestamp": "({_TIMESTAMP.pattern})"'
+    rf'(?:, "thread_id": (?:null|"({_BODY}*)"))?(?:, "topic": (?:null|"({_BODY}*)"))?\}}|(.*))$',
+    re.M | re.ASCII,
+)
+# Lines are tokenized in blocks of about this many characters, each ending at a
+# line end, so that only one block's match tuples are alive next to the records.
+_BLOCK = 1 << 16
+
 
 def parse_records_jsonl(text: str) -> list[ReviewRecord]:
     """Parse JSON-lines review records; blank lines are skipped.
@@ -278,64 +302,106 @@ def parse_records_jsonl(text: str) -> list[ReviewRecord]:
     Each line is an object with ``artifact_id``, ``submitter``,
     ``reviewer``, ``comment``, ``timestamp`` (ISO-8601 as in the log CSV)
     and optional ``thread_id`` / ``topic``. Unknown keys are ignored.
+
+    A line written as ``json.dumps`` writes a record, with its default
+    separators, the keys in that order and no escape in any string, is read
+    in bulk by one regex; any other line is read by the json module. Both
+    give the same records, and the same errors with the same line numbers.
     """
     records = []
     # Lines end at \r\n, \r or \n only; str.splitlines would also split at
     # U+2028 and the other separators that a JSON string may hold unescaped.
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        # A line that is one JSON value followed by nothing but JSON
-        # whitespace is read by the scanner alone. json.loads reads every
-        # other line (leading whitespace, a BOM, trailing text, an error),
-        # so that it accepts or rejects it with its own message.
-        try:
-            payload, end = _scan_once(line, 0)
-            scanned = not line[end:].strip(" \t\n\r")
-        except (StopIteration, ValueError, RecursionError):
-            scanned = False
-        if not scanned:
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordParseError(f"invalid JSON: {exc.msg}", line_no) from None
-            except RecursionError:
-                raise RecordParseError("invalid JSON: nested too deeply", line_no) from None
-        if not isinstance(payload, dict):
-            raise RecordParseError("record is not a JSON object", line_no)
-        try:
-            artifact_id, submitter, reviewer, comment, stamp = _required_values(payload)
-        except KeyError:
-            missing = [f for f in _REQUIRED_FIELDS if f not in payload]
-            raise RecordParseError(f"missing fields: {', '.join(missing)}", line_no) from None
-        if not (
-            isinstance(artifact_id, str)
-            and isinstance(submitter, str)
-            and isinstance(reviewer, str)
-            and isinstance(comment, str)
-            and isinstance(stamp, str)
-        ):
-            raise RecordParseError("record fields must be strings", line_no)
-        thread_id = payload.get("thread_id")
-        if thread_id is not None and not isinstance(thread_id, str):
-            raise RecordParseError("thread_id must be a string when present", line_no)
-        topic = payload.get("topic")
-        if topic is not None and not isinstance(topic, str):
-            raise RecordParseError("topic must be a string when present", line_no)
-        try:
-            timestamp = parse_timestamp(stamp)
-        except LogError as exc:
-            raise RecordParseError(str(exc), line_no) from None
-        # The checks of ReviewRecord, in its order and with its messages.
-        if not artifact_id:
-            raise RecordParseError("record has empty artifact_id", line_no)
-        if not reviewer:
-            raise RecordParseError("record has empty reviewer", line_no)
-        records.append(
-            _record(artifact_id, submitter, reviewer, comment, timestamp, thread_id or None, topic or None)
-        )
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    line_no = 1
+    start = 0
+    while start <= len(text):
+        end = text.find("\n", start + _BLOCK)
+        if end < 0:
+            end = len(text)
+        rows, timestamps = _tokenize(text, start, end)
+        if rows is None:
+            rows = text[start:end].split("\n")
+            records += filter(None, map(_parse_line, rows, count(line_no)))  # None for a blank line
+        else:
+            stamps = iter(timestamps)
+            records += filter(None, [
+                _record(artifact, submitter, reviewer, comment, next(stamps), thread or None, topic or None)
+                if artifact
+                else _parse_line(line, n)
+                for n, (artifact, submitter, reviewer, comment, _, thread, topic, line) in enumerate(rows, line_no)
+            ])
+        line_no += len(rows)
+        start = end + 1
     return records
+
+
+def _tokenize(text: str, start: int, end: int) -> tuple[list, list] | tuple[None, None]:
+    """The :data:`_RECORD_LINE` groups of each line in ``text[start:end]`` and
+    the timestamps of its lines in the documented layout, or Nones, which leave
+    every line of the block to the json module: when its first line is in
+    another layout, so that such a text costs one match per block, or when a
+    stamp has a field out of range, such as February 30."""
+    if not _RECORD_LINE.match(text, start, end)[1]:
+        return None, None
+    rows = _RECORD_LINE.findall(text, start, end)
+    stamps = "\n".join([row[4] for row in rows if row[0]])
+    try:  # as parse_timestamp does, which gives timezone.utc
+        return rows, list(map(datetime.fromisoformat, stamps.replace("Z", "+00:00").split("\n")))
+    except ValueError:
+        return None, None
+
+
+def _parse_line(line: str, line_no: int) -> ReviewRecord | None:
+    """The record of one line read with the json module, None for a blank line."""
+    if not line.strip():
+        return None
+    # A line that is one JSON value followed by nothing but JSON
+    # whitespace is read by the scanner alone. json.loads reads every
+    # other line (leading whitespace, a BOM, trailing text, an error),
+    # so that it accepts or rejects it with its own message.
+    try:
+        payload, end = _scan_once(line, 0)
+        scanned = not line[end:].strip(" \t\n\r")
+    except (StopIteration, ValueError, RecursionError):
+        scanned = False
+    if not scanned:
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RecordParseError(f"invalid JSON: {exc.msg}", line_no) from None
+        except RecursionError:
+            raise RecordParseError("invalid JSON: nested too deeply", line_no) from None
+    if not isinstance(payload, dict):
+        raise RecordParseError("record is not a JSON object", line_no)
+    try:
+        artifact_id, submitter, reviewer, comment, stamp = _required_values(payload)
+    except KeyError:
+        missing = [f for f in _REQUIRED_FIELDS if f not in payload]
+        raise RecordParseError(f"missing fields: {', '.join(missing)}", line_no) from None
+    if not (
+        isinstance(artifact_id, str)
+        and isinstance(submitter, str)
+        and isinstance(reviewer, str)
+        and isinstance(comment, str)
+        and isinstance(stamp, str)
+    ):
+        raise RecordParseError("record fields must be strings", line_no)
+    thread_id = payload.get("thread_id")
+    if thread_id is not None and not isinstance(thread_id, str):
+        raise RecordParseError("thread_id must be a string when present", line_no)
+    topic = payload.get("topic")
+    if topic is not None and not isinstance(topic, str):
+        raise RecordParseError("topic must be a string when present", line_no)
+    try:
+        timestamp = parse_timestamp(stamp)
+    except LogError as exc:
+        raise RecordParseError(str(exc), line_no) from None
+    # The checks of ReviewRecord, in its order and with its messages.
+    if not artifact_id:
+        raise RecordParseError("record has empty artifact_id", line_no)
+    if not reviewer:
+        raise RecordParseError("record has empty reviewer", line_no)
+    return _record(artifact_id, submitter, reviewer, comment, timestamp, thread_id or None, topic or None)
 
 
 def metadata_json(trace_log: TraceLog) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .eventlog import EventLog, LogError
@@ -53,15 +54,11 @@ def handover_of_work(log: EventLog) -> SocialGraph:
 
 def review_relation(records: Iterable[ReviewRecord]) -> SocialGraph:
     """Count reviewer -> submitter edges; self-reviews add nodes only."""
-    nodes: set[str] = set()
-    edges: Counter[tuple[str, str]] = Counter()
-    for record in records:
-        nodes.add(record.reviewer)
-        if record.submitter:
-            nodes.add(record.submitter)
-            if record.reviewer != record.submitter:
-                edges[(record.reviewer, record.submitter)] += 1
-    return SocialGraph(frozenset(nodes), dict(edges))
+    pairs = Counter(map(attrgetter("reviewer", "submitter"), records))
+    nodes = {reviewer for reviewer, _ in pairs}
+    nodes.update(submitter for _, submitter in pairs if submitter)
+    edges = {pair: n for pair, n in pairs.items() if pair[1] and pair[0] != pair[1]}
+    return SocialGraph(frozenset(nodes), edges)
 
 
 def graph_to_dot(graph: SocialGraph) -> str:

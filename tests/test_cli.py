@@ -698,6 +698,43 @@ def _lines(draw, line, header=()):
 
 
 _RECORDS_TEXT = _lines(_perturbed(_RECORD))
+
+
+@st.composite
+def _documented_record(draw):
+    """A record line as json.dumps writes one in the documented key order, the
+    layout read in bulk. One line in four is changed: it gets an empty
+    reviewer, a stamp of the wrong shape or out of range, a thread id that is
+    not a string, or a comment with a quote, whose escape takes the line
+    through the json module."""
+    record = {
+        "artifact_id": draw(st.sampled_from(["X", "Y"])),
+        "submitter": draw(st.sampled_from(["sam", "kim", ""])),
+        "reviewer": draw(st.sampled_from(["r1", "kim"])),
+        "comment": draw(st.sampled_from(["ok", "revert this", ""])),
+        "timestamp": draw(st.sampled_from(["2012-05-03T12:00:00Z", "2012-05-04T00:00:00Z"])),
+    }
+    if draw(st.booleans()):
+        record["thread_id"] = draw(st.sampled_from(["t1", "t2", None]))
+    if draw(st.booleans()):
+        record["topic"] = draw(st.sampled_from(["x", None]))
+    if draw(st.integers(0, 3)) == 0:
+        key, value = draw(
+            st.sampled_from(
+                [
+                    ("reviewer", ""),
+                    ("timestamp", "2012-5-3T8:0:0Z"),
+                    ("timestamp", "2012-02-30T12:00:00Z"),
+                    ("thread_id", 1),
+                    ("comment", 'say "hi"'),
+                ]
+            )
+        )
+        record[key] = value
+    return json.dumps(record)
+
+
+_DOCUMENTED_TEXT = _lines(_documented_record())
 _CSV_ROW = st.tuples(
     st.sampled_from(["1", "2", "3"]),
     st.sampled_from(["A", "B", "C", 'q"', "x,y"]),
@@ -707,7 +744,9 @@ _CSV_ROW = st.tuples(
 _CSV_TEXT = _lines(_CSV_ROW, header=["case_id,activity,originator,timestamp"])
 _INPUTS = st.one_of(
     st.binary(max_size=64),
-    st.one_of(_NET_TEXT, _GRAPH_TEXT, _RECORDS_TEXT, _CSV_TEXT, st.text(max_size=32)).map(str.encode),
+    st.one_of(
+        _NET_TEXT, _GRAPH_TEXT, _RECORDS_TEXT, _DOCUMENTED_TEXT, _CSV_TEXT, st.text(max_size=32)
+    ).map(str.encode),
 )
 
 

@@ -14,13 +14,14 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trailnet import eventlog
+from trailnet import eventlog, reviews
 from trailnet.eventlog import (
     EventLog,
     Trace,
     _columns,
     _log,
     _rows,
+    format_timestamp,
     log_from_sequences,
     parse_csv_log,
     serialize_csv_log,
@@ -30,6 +31,7 @@ from trailnet.reviews import (
     ByCommit,
     ByThread,
     ByTopic,
+    RecordParseError,
     ReviewRecord,
     build_log,
     parse_records_jsonl,
@@ -113,25 +115,37 @@ def _csv_texts(draw, shuffled=False):
     return text + draw(st.sampled_from(["\n", "\n", "\n", ""]))
 
 
-_RECORD = st.fixed_dictionaries(
-    {
-        "artifact_id": st.sampled_from(["X", "Y"]),
-        "submitter": st.sampled_from(["sam", "kim", ""]),
-        "reviewer": st.sampled_from(["r1", "r2"]),
-        "comment": st.sampled_from(["ok", "revert this", ""]),
-        "timestamp": st.sampled_from(_GOOD_STAMPS),
-    },
-    optional={"thread_id": st.sampled_from(["t1", ""]), "topic": st.sampled_from(["x", ""])},
-)
+# String values that json.dumps writes with an escape (a quote, a backslash,
+# a control character, or any non-ASCII character by default), raw under
+# ensure_ascii=False (non-ASCII, U+2028), or, for \x7f, as they are.
+_SPECIAL = ['say "hi"', "a\nb", "back\\slash", "tab\t", "caf\u00e9", "x\u2028y", "del\x7f"]
+
+
+def _value(*plain):
+    """A field value: one of ``plain`` about nine times in ten, else one of :data:`_SPECIAL`."""
+    return st.sampled_from([*plain] * (len(_SPECIAL) * 9 // len(plain)) + _SPECIAL)
 
 
 @st.composite
 def _jsonl_line(draw):
-    """One record line; one line in ten has a flaw: an empty or bad field,
-    a field of another JSON type, a missing field, or text before or after
-    the object."""
-    record = draw(_RECORD)
-    flaw = draw(st.integers(0, 59))
+    """One record line. Most are written as json.dumps writes a record with
+    the documented key order, the layout read in bulk; the rest have the keys
+    sorted, compact separators, raw non-ASCII text, an extra key or a
+    duplicate key. One line in six has a flaw: an empty or bad field, a field
+    of another JSON type, a missing field, text before or after the object,
+    a raw control character in a string, or no text at all."""
+    record = {
+        "artifact_id": draw(_value("X", "Y")),
+        "submitter": draw(_value("sam", "kim", "")),
+        "reviewer": draw(_value("r1", "r2")),
+        "comment": draw(_value("ok", "revert this", "")),
+        "timestamp": draw(st.sampled_from(_GOOD_STAMPS)),
+    }
+    optional = {"thread_id": _value("t1", "", None), "topic": _value("x", "", None)}
+    for key in draw(st.permutations(sorted(optional))):  # absent, or in either order
+        if draw(st.booleans()):
+            record[key] = draw(optional[key])
+    flaw = draw(st.integers(0, 47))
     if flaw == 0:
         record[draw(st.sampled_from(["artifact_id", "reviewer"]))] = ""
     elif flaw == 1:
@@ -140,15 +154,42 @@ def _jsonl_line(draw):
         record[draw(st.sampled_from(sorted(record)))] = draw(_JSON)
     elif flaw == 3:
         del record[draw(st.sampled_from(sorted(record)))]
-    line = json.dumps(record)
+    elif flaw == 6:
+        record["extra"] = draw(st.sampled_from([1, "x", None]))
+    layout = draw(st.sampled_from(["dumps"] * 9 + ["raw", "sorted", "compact"]))
+    line = json.dumps(
+        record,
+        ensure_ascii=layout != "raw",
+        sort_keys=layout == "sorted",
+        separators=(",", ":") if layout == "compact" else None,
+    )
     if flaw == 4:
         line = draw(st.sampled_from([" ", "\t", "\ufeff", "\x0c"])) + line
     elif flaw == 5:
         line += draw(st.sampled_from([" ", "\t ", " x", "}", ",{}", "{}", "\x0c", "\u2028"]))
+    elif flaw == 7:  # json.loads keeps a duplicate key's last value
+        key = draw(st.sampled_from(sorted(record)))
+        value = draw(st.sampled_from(["", "2012-02-29T23:59:59Z", "Z", None]))
+        line = "%s, %s: %s}" % (line[:-1], json.dumps(key), json.dumps(value))
+    elif flaw == 8:
+        line = draw(st.sampled_from(["", " ", "\t"]))
+    elif flaw == 9:  # json.loads rejects a raw control character in a string
+        line = line.replace('"X"', '"X\x1f"').replace('"Y"', '"\tY"')
     return line
 
 
-_JSONL_TEXT = _lines(_jsonl_line()).map(lambda text: text + "\n")
+@st.composite
+def _jsonl_text(draw):
+    """Record lines ending at ``\\n``, ``\\r\\n`` or ``\\r``, the last one sometimes with no line end."""
+    text = draw(_lines(_jsonl_line())) + draw(st.sampled_from(["\n", "\n", ""]))
+    return text.replace("\n", draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"])))
+
+
+_JSONL_TEXT = _jsonl_text()
+# A record line as json.dumps writes it in the documented layout.
+_DOCUMENTED = json.dumps(
+    {"artifact_id": "X", "submitter": "sam", "reviewer": "r1", "comment": "ok", "timestamp": "2012-05-03T12:00:00Z"}
+)
 
 
 def _outcome(parse, *args):
@@ -390,10 +431,62 @@ class TestParseRecordsJsonl:
     @example('{"artifact_id": "X", "submitter": "s", "reviewer": "r", "comment": "", "timestamp": "2012-05-03T12:00:00Z"} x')
     @example('{"artifact_id": "X", "submitter": 1, "reviewer": "r", "comment": "", "timestamp": "2012-05-03T12:00:00Z"}')
     @example('{"artifact_id": "", "submitter": "s", "reviewer": "", "comment": "", "timestamp": "2012-02-30T12:00:00Z"}')
+    @example('{"artifact_id": "X", "submitter": "s", "reviewer": "r", "comment": "", "timestamp": "2012-05-03T12:00:00Z", '
+             '"thread_id": "t1", "thread_id": null}')
     @example('[1] ]')
     @example('{"p": [{}')
     def test_matches_reference(self, text):
         assert _outcome(parse_records_jsonl, text) == _outcome(reference_parse_records_jsonl, text)
+
+    @given(_JSONL_TEXT, st.integers(0, 400))
+    def test_matches_reference_in_blocks_of_any_size(self, text, block):
+        """Texts are tokenized in blocks of lines; any block size gives the same outcome."""
+        with mock.patch.object(reviews, "_BLOCK", block):
+            result = _outcome(parse_records_jsonl, text)
+        assert result == _outcome(reference_parse_records_jsonl, text)
+
+    @pytest.mark.parametrize("optional", ["thread-and-topic", "null-thread", "none"])
+    def test_a_text_written_like_the_benchmarks_is_read_in_bulk(self, optional):
+        """Records written by json.dumps as the benchmark writes them, with or
+        without the optional keys, are read without the json module."""
+        records = random_records(random.Random(7), n_cases=400, with_threads=optional != "null-thread")
+        rows = [
+            {
+                "artifact_id": r.artifact_id,
+                "submitter": r.submitter,
+                "reviewer": r.reviewer,
+                "comment": r.comment,
+                "timestamp": format_timestamp(r.timestamp),
+                **({} if optional == "none" else {"thread_id": r.thread_id, "topic": r.topic}),
+            }
+            for r in records
+        ]
+        text = "".join(json.dumps(row) + "\n" for row in rows)
+        assert len(text) > 2 * reviews._BLOCK
+        expected = reference_parse_records_jsonl(text)
+        refuse = mock.Mock(side_effect=AssertionError("the json module was called"))
+        with mock.patch.object(reviews, "_scan_once", refuse), mock.patch.object(json, "loads", refuse):
+            assert parse_records_jsonl(text) == expected
+
+    @pytest.mark.parametrize(
+        "flawed",
+        [
+            '{"artifact_id": "X", }',
+            _DOCUMENTED.replace("2012-05-03", "2012-02-30"),
+            _DOCUMENTED.replace("2012-05-03", "2012-5-3"),
+            _DOCUMENTED.replace('"r1"', '""'),
+            '["X"]',
+        ],
+        ids=["invalid-json", "stamp-out-of-range", "stamp-shape", "empty-reviewer", "not-an-object"],
+    )
+    @pytest.mark.parametrize("block", ["first", "second"])
+    def test_a_flaw_among_documented_lines_is_reported_at_its_line(self, flawed, block):
+        before = 2 if block == "first" else reviews._BLOCK // len(_DOCUMENTED) + 2
+        text = "\n".join([_DOCUMENTED] * before + [flawed, _DOCUMENTED]) + "\n"
+        assert (text.index(flawed) > reviews._BLOCK) is (block == "second")
+        result = _outcome(parse_records_jsonl, text)
+        assert result[0] is RecordParseError and result[2] == before + 1
+        assert result == _outcome(reference_parse_records_jsonl, text)
 
     @given(_JSONL_TEXT)
     def test_builds_what_the_public_constructor_builds(self, text):
