@@ -14,6 +14,8 @@ import json
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .eventlog import EventLog
 from .relations import FootprintMatrix, footprint
@@ -48,8 +50,15 @@ class AlphaIntermediates:
     t_w: frozenset[str]
     t_i: frozenset[str]
     t_o: frozenset[str]
-    x_w: frozenset[CandidatePair]
     y_w: frozenset[CandidatePair]
+
+    @cached_property
+    def x_w(self) -> frozenset[CandidatePair]:
+        """The candidate pairs, the downward closure of Y_W, built on first access.
+
+        Neither the miner nor ``alpha.json`` needs the set itself, and it
+        is exponential in the alphabet."""
+        return _downward_closure(self.y_w)
 
 
 def initial_tasks(log: EventLog) -> frozenset[str]:
@@ -113,21 +122,21 @@ def _direct_maximal_pairs(matrix: FootprintMatrix) -> frozenset[CandidatePair]:
     return frozenset(found)
 
 
+def _nonempty_subsets(side: frozenset[str]) -> list[frozenset[str]]:
+    members = sorted(side)
+    return [
+        frozenset(subset)
+        for size in range(1, len(members) + 1)
+        for subset in itertools.combinations(members, size)
+    ]
+
+
 def _downward_closure(y_w: frozenset[CandidatePair]) -> frozenset[CandidatePair]:
     """Every pair of non-empty subsets of the two sides of some member.
 
     X_W is componentwise downward closed, so this rebuilds it from Y_W.
     """
-
-    def nonempty_subsets(side: frozenset[str]) -> list[frozenset[str]]:
-        members = sorted(side)
-        return [
-            frozenset(subset)
-            for size in range(1, len(members) + 1)
-            for subset in itertools.combinations(members, size)
-        ]
-
-    pairs = (itertools.product(nonempty_subsets(a), nonempty_subsets(b)) for a, b in y_w)
+    pairs = (itertools.product(_nonempty_subsets(a), _nonempty_subsets(b)) for a, b in y_w)
     return frozenset(itertools.chain.from_iterable(pairs))
 
 
@@ -205,7 +214,6 @@ def alpha(
     t_i = initial_tasks(log)
     t_o = final_tasks(log)
     y_w = _direct_maximal_pairs(footprint(log))
-    x_w = _downward_closure(y_w)
 
     pairs = {place_name(a_side, b_side): (a_side, b_side) for a_side, b_side in y_w}
     names = _place_names([SOURCE_PLACE, SINK_PLACE, *pairs], t_w)
@@ -234,7 +242,7 @@ def alpha(
         source=source,
         sink=sink,
     )
-    return net, AlphaIntermediates(t_w, t_i, t_o, x_w, y_w)
+    return net, AlphaIntermediates(t_w, t_i, t_o, y_w)
 
 
 def _json_list(items: list[str], indent: str) -> str:
@@ -246,40 +254,50 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
-def _json_pairs(pairs: frozenset[CandidatePair]) -> list[str]:
-    """Sorted ``[[A...], [B...]]`` pairs, as they sit under a top-level key,
-    in pieces whose concatenation is the text.
+def _add_pairs(
+    pieces: list[str],
+    y_w: frozenset[CandidatePair],
+    expand: Callable[[frozenset[str]], Sequence[frozenset[str]]],
+) -> None:
+    """Append the sorted ``[[A'...], [B'...]]`` pairs, as they sit under a
+    top-level key, where A' is in ``expand(A)`` and B' in ``expand(B)`` for
+    some member (A, B) of Y_W, in pieces whose concatenation is the text.
 
-    The pairs are grouped by their A side in one pass. Each distinct side
-    is sorted, ranked and encoded once; the A sides are then written in
-    rank order, each as one join over the ranked texts of its B sides.
+    With :func:`_nonempty_subsets` as ``expand`` the pairs are X_W, which is
+    written from Y_W's members without being built. Each distinct side is
+    sorted, ranked and encoded once, and each member's B sides are sorted
+    by rank once. An A side takes the B ranks of the one member that gives
+    it, or their sorted union when several do.
     """
-    if not pairs:
-        return ["[]"]
-    groups: defaultdict[frozenset[str], list[frozenset[str]]] = defaultdict(list)
-    for a, b in pairs:
-        groups[a].append(b)
-    sides = set(groups).union(*groups.values())
+    if not y_w:
+        pieces.append("[]")
+        return
+    members = [(expand(a), expand(b)) for a, b in y_w]
+    sides = {side for a_sides, b_sides in members for side in itertools.chain(a_sides, b_sides)}
     keys = {side: tuple(sorted(side)) for side in sides}
     ranked = sorted(sides, key=keys.__getitem__)
     rank = {side: i for i, side in enumerate(ranked)}
     text = [_json_list([json.dumps(m) for m in keys[side]], "      ") for side in ranked]
+    givers: defaultdict[int, list[list[int]]] = defaultdict(list)
+    for a_sides, b_sides in members:
+        b_ranks = sorted(map(rank.__getitem__, b_sides))
+        for a in a_sides:
+            givers[rank[a]].append(b_ranks)
     # A pair is _json_list([text[a], text[b]], "    "), written inline, so
-    # the pairs of one A side are one join over the texts of their B sides.
+    # every pair after the first is (between + head of its A side, its B text).
+    # The pieces go straight into the one flat list: a string per A side
+    # would be made only to be copied again.
     between = "\n    ],\n    [\n      "  # from the end of one pair to the next
-    blocks = []
-    for a in sorted(groups, key=rank.__getitem__):
-        head = text[rank[a]] + ",\n      "
-        b_texts = map(text.__getitem__, sorted(map(rank.__getitem__, groups[a])))
-        blocks.append(head + (between + head).join(b_texts))
-    # The list's brackets go into its first and last block, and the blocks
-    # are joined only with the rest of the file, so that the list's text is
-    # never made on its own and copied whole.
-    blocks[0] = "[\n    [\n      " + blocks[0]
-    blocks[-1] += "\n    ]\n  ]"
-    pieces = [between] * (2 * len(blocks) - 1)
-    pieces[::2] = blocks
-    return pieces
+    first = len(pieces)
+    for a in sorted(givers):
+        given = givers[a]
+        b_ranks = given[0] if len(given) == 1 else sorted(set().union(*given))
+        block = [between + text[a] + ",\n      "] * (2 * len(b_ranks))
+        block[1::2] = map(text.__getitem__, b_ranks)
+        pieces += block
+    # The first pair opens the list instead of following a pair.
+    pieces[first] = "[\n    [\n      " + pieces[first][len(between) :]
+    pieces.append("\n    ]\n  ]")
 
 
 def intermediates_to_json(intermediates: AlphaIntermediates) -> str:
@@ -287,18 +305,16 @@ def intermediates_to_json(intermediates: AlphaIntermediates) -> str:
 
     The text is what ``json.dumps(payload, indent=2)`` gives for the payload
     of sorted lists, plus a newline. It is assembled from per-item pieces
-    because the indenting encoder is pure Python and X_W can be large, and
-    all the pieces are joined once so that X_W's text is made only once.
+    because the indenting encoder is pure Python and X_W can be large. X_W
+    is written from Y_W, so the set is never built, and all the pieces are
+    joined once so that X_W's text is made only once.
     """
-    fields = {
-        "T_W": [_json_list([json.dumps(t) for t in sorted(intermediates.t_w)], "  ")],
-        "T_I": [_json_list([json.dumps(t) for t in sorted(intermediates.t_i)], "  ")],
-        "T_O": [_json_list([json.dumps(t) for t in sorted(intermediates.t_o)], "  ")],
-        "X_W": _json_pairs(intermediates.x_w),
-        "Y_W": _json_pairs(intermediates.y_w),
-    }
     pieces = ["{\n"]
-    for key, value in fields.items():
-        pieces += ["  %s: " % json.dumps(key), *value, ",\n"]
-    pieces[-1] = "\n}\n"
+    for key, names in (("T_W", intermediates.t_w), ("T_I", intermediates.t_i), ("T_O", intermediates.t_o)):
+        pieces += ['  "%s": ' % key, _json_list([json.dumps(t) for t in sorted(names)], "  "), ",\n"]
+    pieces.append('  "X_W": ')
+    _add_pairs(pieces, intermediates.y_w, _nonempty_subsets)
+    pieces.append(',\n  "Y_W": ')
+    _add_pairs(pieces, intermediates.y_w, lambda side: (side,))
+    pieces.append("\n}\n")
     return "".join(pieces)

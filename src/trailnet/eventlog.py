@@ -184,6 +184,15 @@ class EventLog:
         return len(self.traces)
 
 
+def _event_log(traces: tuple[Trace, ...]) -> EventLog:
+    """An :class:`EventLog` of traces whose case ids :func:`parse_csv_log` or
+    ``build_log`` has made unique. Every other caller goes through the
+    public class."""
+    log = object.__new__(EventLog)
+    object.__setattr__(log, "traces", traces)
+    return log
+
+
 def log_from_sequences(sequences: Iterable[Sequence[str]]) -> EventLog:
     """Build a bare log from activity sequences, in cases ``c1``, ``c2``, ..."""
     traces = []
@@ -330,7 +339,7 @@ def _log(columns: list) -> EventLog:
     # made past them, it would split the memory they free, which a later
     # large allocation (such as mine's 10 MB X_W text) could then not reuse.
     del activities, originators, timestamps, lines, starts, ends, cases
-    return EventLog(tuple(traces))
+    return _event_log(tuple(traces))
 
 
 def _csv_text(rows: Iterable[Sequence[str | None]]) -> str:

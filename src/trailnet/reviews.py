@@ -22,6 +22,7 @@ from .eventlog import (
     _TIMESTAMP,
     format_timestamp,
     parse_timestamp,
+    _event_log,
     _normalize_timestamp,
     _trace,
 )
@@ -240,8 +241,8 @@ def build_log(
     names = {verb: (verb + ":initiator", verb + ":responder") for verb in verbs}
     traces = []
     # A record's reviewer is non-empty and its timestamp whole-second UTC, and
-    # every case is non-empty with a non-empty key: the traces below need no
-    # further checks.
+    # every case is non-empty with a non-empty key of its own: the traces and
+    # the log below need no further checks.
     for case_id in sorted(cases):
         ordered = sorted(cases[case_id], key=_timestamp)  # stable
         opener = ordered[0].reviewer
@@ -253,8 +254,7 @@ def build_log(
             (pair[r.reviewer != opener], r.reviewer, r.timestamp) for pair, r in zip(pairs, ordered)
         ])
         traces.append(_trace(case_id, activities, reviewers, timestamps))
-    log = EventLog(tuple(traces))
-    return TraceLog(log, strategy.label, len(records), window)
+    return TraceLog(_event_log(tuple(traces)), strategy.label, len(records), window)
 
 
 def durations(log: TraceLog | EventLog) -> dict[str, list[timedelta]]:

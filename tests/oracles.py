@@ -82,6 +82,17 @@ def brute_force_candidate_pairs(matrix: FootprintMatrix):
     return frozenset(result)
 
 
+def reference_closure(y_w):
+    """Every pair (A', B') of non-empty subsets A' of A and B' of B, over the members (A, B)."""
+    result = set()
+    for a_side, b_side in y_w:
+        for a_size, b_size in itertools.product(range(1, len(a_side) + 1), range(1, len(b_side) + 1)):
+            for a_sub in itertools.combinations(a_side, a_size):
+                for b_sub in itertools.combinations(b_side, b_size):
+                    result.add((frozenset(a_sub), frozenset(b_sub)))
+    return frozenset(result)
+
+
 def brute_force_maximal(pairs):
     """Quadratic componentwise-domination filter."""
     return frozenset(

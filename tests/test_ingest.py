@@ -232,6 +232,7 @@ def _assert_same_log(log, text):
 
 
 def _assert_built_as_public(log):
+    assert type(log.traces) is tuple and EventLog(log.traces) == log
     for trace in log.traces:
         assert Trace(trace.case_id, trace.activities, trace.originators, trace.timestamps) == trace
         columns = (trace.activities, trace.originators, trace.timestamps)
