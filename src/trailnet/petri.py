@@ -88,6 +88,16 @@ class WorkflowNet:
         moves = tuple((t, *arcs_of[t]) for t in reversed(arcs_of))
         return _IndexedNet(places, arcs_of, moves, index[self.source], index[self.sink])
 
+    @cached_property
+    def _replays(self) -> dict[tuple[str, ...], ReplayResult]:
+        """This net's replay memo: each trace replayed on it, as a tuple, to its result."""
+        return {}
+
+    @cached_property
+    def _outcomes(self) -> dict[tuple[bool, int, int], ReplayResult]:
+        """The one result per field tuple that every trace with those counts shares."""
+        return {}
+
     def inputs(self, node: str) -> frozenset[str]:
         """Nodes with an arc into ``node``."""
         return self._neighbours[0][node]
@@ -127,12 +137,30 @@ def replay(net: WorkflowNet, trace: Sequence[str]) -> ReplayResult:
     ``produced_remaining`` counts the tokens left over at the end. The
     trace fits exactly when both are zero, so every misfit has a count.
 
-    The net is compiled to place indices once per net object, so each
-    event costs one dict lookup plus its token arithmetic on a list of
-    counts. A ``KeyError`` names the first activity, in trace order, that
-    is not a transition of the net.
+    Each distinct trace is replayed once per net object: the net keeps a
+    memo from ``tuple(trace)`` to its result, which starts empty, grows
+    with the distinct traces replayed on that net and goes with the net,
+    so a newly built net, even an equal one, starts again. Traces with
+    the same counts get the same frozen ``ReplayResult`` object. The net
+    is compiled to place indices once, so each event of a replayed trace
+    costs one dict lookup plus its token arithmetic on a list of counts.
+    A ``KeyError`` names the first activity, in trace order, that is not
+    a transition of the net, and leaves the memo as it was.
     """
-    indexed = net._indexed
+    trace = tuple(trace)
+    result = net._replays.get(trace)
+    if result is None:
+        missing, remaining = _token_game(net._indexed, trace)
+        outcome = (missing == 0 and remaining == 0, missing, remaining)
+        result = net._outcomes.get(outcome)
+        if result is None:
+            result = net._outcomes[outcome] = ReplayResult(*outcome)
+        net._replays[trace] = result
+    return result
+
+
+def _token_game(indexed: _IndexedNet, trace: tuple[str, ...]) -> tuple[int, int]:
+    """``(missing, remaining)`` of one replay of ``trace`` on the compiled net."""
     arcs_of = indexed.arcs_of
     marking = [0] * len(indexed.places)
     marking[indexed.source] = 1
@@ -153,8 +181,7 @@ def replay(net: WorkflowNet, trace: Sequence[str]) -> ReplayResult:
         marking[indexed.sink] -= 1
     else:
         missing += 1
-    remaining = sum(marking)
-    return ReplayResult(missing == 0 and remaining == 0, missing, remaining)
+    return missing, sum(marking)
 
 
 _FINAL = 0  # the id of the final marking {sink: 1} in generate_traces

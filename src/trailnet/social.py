@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from typing import Iterable, Mapping
 
@@ -37,19 +38,15 @@ class SocialGraph:
 
 def handover_of_work(log: EventLog) -> SocialGraph:
     """Count consecutive distinct-originator pairs within each trace."""
-    nodes: set[str] = set()
-    edges: Counter[tuple[str, str]] = Counter()
-    for trace in log.traces:
-        people = trace.originators
-        if None in people:
-            raise LogError(
-                f"case {trace.case_id!r} has an event without originator"
-            )
-        nodes.update(people)
-        for tail, head in zip(people, people[1:]):
-            if tail != head:
-                edges[(tail, head)] += 1
-    return SocialGraph(frozenset(nodes), dict(edges))
+    people = list(map(attrgetter("originators"), log.traces))
+    nodes = set(chain.from_iterable(people))
+    if None in nodes:
+        case_id = next(t.case_id for t in log.traces if None in t.originators)
+        raise LogError(f"case {case_id!r} has an event without originator")
+    successors = map(islice, people, repeat(1), repeat(None))
+    pairs = Counter(chain.from_iterable(map(zip, people, successors)))
+    edges = {pair: n for pair, n in pairs.items() if pair[0] != pair[1]}
+    return SocialGraph(frozenset(nodes), edges)
 
 
 def review_relation(records: Iterable[ReviewRecord]) -> SocialGraph:

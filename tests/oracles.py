@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import re
+from collections import Counter
 from datetime import datetime, timezone
 from typing import Mapping
 
@@ -28,6 +29,7 @@ from trailnet.reviews import (
     TraceLog,
     _group_records,
 )
+from trailnet.social import SocialGraph
 
 
 def naive_relation(sequences, a, b) -> Relation:
@@ -198,6 +200,22 @@ def reference_replay(net, trace) -> ReplayResult:
         missing += 1
     remaining = sum(marking.values())
     return ReplayResult(missing == 0 and remaining == 0, missing, remaining)
+
+
+def reference_handover_of_work(log: EventLog) -> SocialGraph:
+    """Handover of work counted trace by trace, pair by pair, as before
+    the bulk count: the first case with an event without originator raises."""
+    nodes: set[str] = set()
+    edges: Counter[tuple[str, str]] = Counter()
+    for trace in log.traces:
+        people = trace.originators
+        if None in people:
+            raise LogError(f"case {trace.case_id!r} has an event without originator")
+        nodes.update(people)
+        for tail, head in zip(people, people[1:]):
+            if tail != head:
+                edges[(tail, head)] += 1
+    return SocialGraph(frozenset(nodes), dict(edges))
 
 
 # Ingest as it was before it built traces and records through trusted

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +10,7 @@ from trailnet.alpha import alpha
 from trailnet.eventlog import log_from_sequences
 from trailnet.petri import (
     NetStructureError,
+    ReplayResult,
     WorkflowNet,
     generate_traces,
     isomorphic,
@@ -75,19 +77,39 @@ def _any_small_nets(draw):
 
 
 @st.composite
-def _nets_with_traces(draw, foreign=False):
-    """A structured or arbitrary small net, and any sequence of its transitions.
+def _traces(draw, net, foreign=False):
+    """Any sequence of the net's transitions.
 
     With ``foreign``, some traces also hold one activity that is not a
     transition of the net: a place name or a name the net lacks.
     """
-    net = draw(st.one_of(_random_nets, _any_small_nets()))
     names = sorted(net.transitions)
     trace = draw(st.lists(st.sampled_from(names), max_size=8)) if names else []
     if foreign and draw(st.booleans()):
         outsider = draw(st.sampled_from(sorted(net.places) + ["Z", ""]))
         trace.insert(draw(st.integers(0, len(trace))), outsider)
-    return net, tuple(trace)
+    return tuple(trace)
+
+
+@st.composite
+def _nets_with_traces(draw, foreign=False):
+    """A structured or arbitrary small net, and one of its ``_traces``."""
+    net = draw(st.one_of(_random_nets, _any_small_nets()))
+    return net, draw(_traces(net, foreign))
+
+
+@st.composite
+def _nets_with_trace_lists(draw):
+    """A structured net and traces to replay on it one after another.
+
+    The traces come from a small pool, so they repeat; some hold an
+    activity the net lacks, and each is given as a tuple or as a list.
+    """
+    net = draw(_random_nets)
+    pool = draw(st.lists(_traces(net, foreign=True), min_size=1, max_size=4))
+    kinds = st.sampled_from([tuple, list])
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), kinds), max_size=12))
+    return net, [kind(trace) for trace, kind in picks]
 
 
 def sink_free_net():
@@ -283,6 +305,64 @@ class TestReplay:
             assert raised.value.args == exc.args
         else:
             assert replay(net, trace) == expected
+
+
+class TestReplayMemo:
+    @settings(deadline=None)
+    @given(_nets_with_trace_lists())
+    def test_repeated_replays_match_reference(self, case):
+        net, traces = case
+        results = []
+        for trace in traces + traces:
+            try:
+                expected = reference_replay(net, trace)
+            except KeyError as exc:
+                with pytest.raises(KeyError) as raised:
+                    replay(net, trace)
+                assert raised.value.args == exc.args
+            else:
+                results.append(replay(net, trace))
+                assert results[-1] == expected
+        for a in results:
+            assert all((a == b) == (a is b) for b in results)
+
+    def test_new_net_starts_with_an_empty_memo(self, sample_net):
+        assert sample_net._replays == {}
+        replay(sample_net, ("A", "E", "D"))
+        assert list(sample_net._replays) == [("A", "E", "D")]
+
+    def test_failing_trace_leaves_the_memo_unchanged(self, sample_net):
+        replay(sample_net, ("A", "E", "D"))
+        before = dict(sample_net._replays)
+        for trace in (("A", "Z"), ["A", "E", "D", "Z"], ("Z",)):
+            with pytest.raises(KeyError):
+                replay(sample_net, trace)
+        assert sample_net._replays == before
+
+    def test_equal_nets_do_not_share_a_memo(self, sample_net):
+        text = to_json(sample_net)
+        first, second = net_from_json(text), net_from_json(text)
+        assert first == second
+        result = replay(first, ("A", "B", "D"))
+        assert second._replays == {}
+        again = replay(second, ("A", "B", "D"))
+        assert again == result and again is not result
+        assert list(first._replays) == list(second._replays) == [("A", "B", "D")]
+
+    def test_equal_outcomes_are_one_object(self, sample_net):
+        fits = [replay(sample_net, tuple(seq)) for seq in ("ABCD", "ACBD", "AED")]
+        assert fits[0] is fits[1] is fits[2]
+        assert replay(sample_net, ["A", "B", "C", "D"]) is fits[0]
+        # Each skips one branch: one token missing before D, one left on the other branch.
+        skips = replay(sample_net, ("A", "B", "D")), replay(sample_net, ("A", "C", "D"))
+        assert skips[0] is skips[1]
+        assert skips[0] == ReplayResult(False, 1, 1)
+
+    def test_results_stay_frozen(self, sample_net):
+        result = replay(sample_net, ("A", "E", "D"))
+        with pytest.raises(FrozenInstanceError):
+            result.fits = False
+        assert replay(sample_net, ("A", "E", "D")).fits
 
 
 class TestGenerateTraces:

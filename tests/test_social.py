@@ -18,6 +18,7 @@ from trailnet.social import (
     review_relation,
 )
 
+from .oracles import reference_handover_of_work
 from .reviewgen import random_records
 
 
@@ -79,6 +80,23 @@ class TestHandover:
         assert all(tail != head for tail, head in graph.edges)
         reversed_log = EventLog(tuple(reversed(log.traces)))
         assert handover_of_work(reversed_log) == graph
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(["R1", "R2", "R3", None]), min_size=1, max_size=8),
+            max_size=10,
+        )
+    )
+    def test_matches_reference_with_missing_originators(self, cases):
+        log = log_of_originators(*cases)
+        try:
+            expected = reference_handover_of_work(log)
+        except LogError as exc:
+            with pytest.raises(LogError) as raised:
+                handover_of_work(log)
+            assert str(raised.value) == str(exc)
+        else:
+            assert handover_of_work(log) == expected
 
 
 class TestReviewRelation:
