@@ -209,18 +209,24 @@ def _cmd_simulate(args: argparse.Namespace, text: str) -> dict[str, str]:
     # {"complete": ..., "traces": result.traces}; the search returns the
     # traces sorted. The indenting encoder is pure Python and a trace
     # language can run to tens of thousands of traces, so the text is built
-    # from joins: one per trace over its activities, then one over the
+    # from joins: one per trace over its activities' JSON bodies, with the
+    # quotes around them carried by the separator, then one over the
     # traces, with the text around the list folded into the first and the
-    # last trace, so that the whole output is never copied. A complete
-    # firing sequence is never empty, since the source and sink differ.
+    # last trace, so that the whole output is never copied. Each name is
+    # its own body unless it holds a character JSON escapes; only then are
+    # the traces mapped to bodies. A complete firing sequence is never
+    # empty, since the source and sink differ.
     head = '{\n  "complete": %s,\n  "traces": ' % json.dumps(result.complete)
-    if not result.traces:
+    traces = result.traces
+    if not traces:
         return {"": head + "[]\n}\n"}
-    names = {t: json.dumps(t) for t in net.transitions}
-    rows = [",\n      ".join(map(names.__getitem__, trace)) for trace in result.traces]
-    rows[0] = head + "[\n    [\n      " + rows[0]
-    rows[-1] += "\n    ]\n  ]\n}\n"
-    return {"": "\n    ],\n    [\n      ".join(rows)}
+    bodies = {t: json.dumps(t)[1:-1] for t in net.transitions}
+    if any(body != name for name, body in bodies.items()):
+        traces = (map(bodies.__getitem__, trace) for trace in traces)
+    rows = list(map('",\n      "'.join, traces))
+    rows[0] = head + '[\n    [\n      "' + rows[0]
+    rows[-1] += '"\n    ]\n  ]\n}\n'
+    return {"": '"\n    ],\n    [\n      "'.join(rows)}
 
 
 def _cmd_export(args: argparse.Namespace, text: str) -> dict[str, str]:

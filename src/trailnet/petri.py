@@ -185,6 +185,7 @@ def _token_game(indexed: _IndexedNet, trace: tuple[str, ...]) -> tuple[int, int]
 
 
 _FINAL = 0  # the id of the final marking {sink: 1} in generate_traces
+_SPAN = None  # the state of a stack entry that closes a subtree in generate_traces
 
 
 def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> TraceGenerationResult:
@@ -208,10 +209,14 @@ def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> Trace
     are tuples of token counts over the sorted places, and each distinct
     marking gets a small int id the first time the search reaches it and
     computes its successors, as ``(transition, child id)`` pairs, once.
-    The cost therefore scales with the distinct reachable markings plus
-    the size of the output: what is left per explored prefix is a list
-    index, an int test and a push, and without dead ends every prefix is
-    part of some output sequence.
+    The complete suffixes below a marking depend only on that marking and
+    on the length left, so each (marking, depth) pair is expanded once:
+    the first visit records the slice of the found sequences its subtree
+    produced, and a later visit copies that slice under its own prefix
+    instead of searching again, keeping only what fits under the
+    ``max_traces`` cut. The cost therefore scales with the distinct
+    (marking, depth) pairs times their fan-out, plus the size of the
+    output.
     """
     if max_length < 0 or max_traces < 0:
         raise ValueError("bounds must be non-negative")
@@ -225,7 +230,10 @@ def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> Trace
     successors: list[list[tuple[str, int]] | None] = [None, None]  # id -> children once known
     found: list[tuple[str, ...]] = []
     complete = True
-    stack: list[tuple[int, tuple[str, ...]]] = [(1, ())]
+    # (state id, depth) -> (first, last), the slice of found below its first
+    # visit; recorded by an entry (_SPAN, (key, first)) pushed under its children.
+    spans: dict[tuple[int, int], tuple[int, int]] = {}
+    stack: list[tuple] = [(1, ())]
     push = stack.append
     while stack:
         state, sequence = stack.pop()
@@ -234,6 +242,10 @@ def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> Trace
                 complete = False
                 break
             found.append(sequence)
+            continue
+        if state is _SPAN:
+            key, first = sequence
+            spans[key] = (first, len(found))
             continue
         children = successors[state]
         if children is None:
@@ -247,9 +259,21 @@ def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> Trace
                 children.append((transition, child_id))
         if not children:
             continue
-        if len(sequence) >= max_length:
+        depth = len(sequence)
+        if depth >= max_length:
             complete = False
             continue
+        key = (state, depth)
+        span = spans.get(key)
+        if span is not None:
+            first, last = span
+            room = max_traces - len(found)
+            found += [sequence + t[depth:] for t in found[first : min(last, first + room)]]
+            if last - first > room:
+                complete = False
+                break
+            continue
+        push((_SPAN, (key, len(found))))
         for t, child in children:
             push((child, sequence + (t,)))
     return TraceGenerationResult(tuple(found), complete)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import FrozenInstanceError
 
@@ -11,6 +13,7 @@ from trailnet.eventlog import log_from_sequences
 from trailnet.petri import (
     NetStructureError,
     ReplayResult,
+    TraceGenerationResult,
     WorkflowNet,
     generate_traces,
     isomorphic,
@@ -58,6 +61,31 @@ def looping_net():
         sink="o",
     )
 
+
+
+def and_split_net(branches):
+    # a, then b0..b{n-1} in any order, then z: the benchmark's parallel net
+    names = [f"b{k}" for k in range(branches)]
+    places = {"i", "o"}
+    arcs = {("i", "a"), ("z", "o")}
+    for b in names:
+        places |= {f"p_{b}", f"q_{b}"}
+        arcs |= {("a", f"p_{b}"), (f"p_{b}", b), (b, f"q_{b}"), (f"q_{b}", "z")}
+    return WorkflowNet(frozenset(places), frozenset(["a", "z", *names]), frozenset(arcs), "i", "o")
+
+
+def two_depth_net():
+    # {p} is reached after "a" (depth 1) and after "b c" (depth 2); d empties it into o
+    return WorkflowNet(
+        places=frozenset({"i", "q", "p", "o"}),
+        transitions=frozenset({"a", "b", "c", "d"}),
+        arcs=frozenset(
+            {("i", "a"), ("a", "p"), ("i", "b"), ("b", "q"), ("q", "c"), ("c", "p"),
+             ("p", "d"), ("d", "o")}
+        ),
+        source="i",
+        sink="o",
+    )
 
 _random_nets = st.integers(0, 10_000).map(
     lambda seed: random_structured_net(random.Random(seed))
@@ -426,10 +454,38 @@ class TestGenerateTraces:
     @example(looping_net(), 10, 2)
     @example(empty_preset_net(), 4, 100)
     @example(empty_preset_net(), 0, 0)
+    @example(and_split_net(3), 5, 100)
+    @example(and_split_net(4), 6, 7)  # the cut lands inside a copied slice
+    @example(and_split_net(4), 6, 8)  # ... and at its end
+    @example(and_split_net(4), 5, 100)
     def test_matches_reference_search(self, net, max_length, max_traces):
         assert generate_traces(net, max_length, max_traces) == reference_generate_traces(
             net, max_length, max_traces
         )
+
+    @pytest.mark.parametrize("branches", [2, 3, 4, 5])
+    def test_and_split_matches_reference_under_every_cut(self, branches):
+        # Each subset of finished branches is reached once per order of it,
+        # so later orders copy the first one's traces, and the trace cut
+        # lands inside a copied slice, at its end and beyond the language.
+        net = and_split_net(branches)
+        orders = itertools.permutations(f"b{k}" for k in range(branches))
+        language = tuple(("a", *order, "z") for order in orders)
+        assert generate_traces(net, branches + 2, math.factorial(branches)) == (
+            TraceGenerationResult(language, True)
+        )
+        for max_length in range(branches + 4):
+            for max_traces in range(math.factorial(branches) + 2):
+                assert generate_traces(net, max_length, max_traces) == reference_generate_traces(
+                    net, max_length, max_traces
+                ), (max_length, max_traces)
+
+    def test_reuse_is_keyed_by_depth(self):
+        # {p} at depth 1 completes as "a d"; at depth 2 the length cut stops
+        # "b c" before d, so its suffixes must not be copied from depth 1.
+        result = generate_traces(two_depth_net(), max_length=2, max_traces=100)
+        assert result == TraceGenerationResult((("a", "d"),), False)
+        assert result == reference_generate_traces(two_depth_net(), 2, 100)
 
     @settings(deadline=None, max_examples=50)
     @given(_random_nets, st.integers(0, 5))
