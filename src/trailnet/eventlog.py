@@ -51,28 +51,28 @@ def parse_timestamp(text: str) -> datetime:
     width and written in ASCII digits.
     """
     if _TIMESTAMP.fullmatch(text) is not None:
-        # The regex is the only shape check: fromisoformat alone also takes
-        # other shapes. The "+00:00" offset (Python 3.10 rejects "Z") gives
-        # the timezone.utc singleton as tzinfo.
         try:
-            return datetime.fromisoformat(text[:-1] + "+00:00")
+            return _instants(text)[0]
         except ValueError:  # a field out of range, e.g. month 13 or February 30
             pass
     raise LogError(f"bad timestamp {text!r}, expected YYYY-MM-DDThh:mm:ssZ")
 
 
+def _instants(stamps: str) -> tuple[datetime, ...]:
+    """The instants of ``"\\n"``-joined stamps, each of which the caller has
+    matched to :data:`_TIMESTAMP`: fromisoformat alone also takes other
+    shapes. ValueError for a field out of range. The "+00:00" offset (Python
+    3.10 rejects "Z") gives the timezone.utc singleton as tzinfo."""
+    return tuple(map(datetime.fromisoformat, stamps.replace("Z", "+00:00").split("\n")))
+
+
 def format_timestamp(instant: datetime) -> str:
     """Render a timestamp in the interchange format, converting to UTC."""
-    return _stamp_text(_normalize_timestamp(instant))
+    return _STAMP_FORMAT % _stamp_fields(_normalize_timestamp(instant))
 
 
 _STAMP_FORMAT = "%04d-%02d-%02dT%02d:%02d:%02dZ"
 _stamp_fields = attrgetter("year", "month", "day", "hour", "minute", "second")
-
-
-def _stamp_text(t: datetime) -> str:
-    """:func:`format_timestamp` of a datetime that is already whole-second UTC."""
-    return _STAMP_FORMAT % _stamp_fields(t)
 
 
 def _normalize_timestamp(instant: datetime) -> datetime:
@@ -250,8 +250,8 @@ def _columns(text: str) -> list | None:
         joined = "\n".join(stamps)
         if _STAMP_COLUMN.fullmatch(joined) is None:
             return None
-        try:  # as parse_timestamp does, which gives timezone.utc
-            timestamps = tuple(map(datetime.fromisoformat, joined.replace("Z", "+00:00").split("\n")))
+        try:
+            timestamps = _instants(joined)
         except ValueError:
             return None
     elif any(stamps):

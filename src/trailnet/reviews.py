@@ -23,6 +23,7 @@ from .eventlog import (
     format_timestamp,
     parse_timestamp,
     _event_log,
+    _instants,
     _normalize_timestamp,
     _trace,
 )
@@ -76,8 +77,8 @@ def _record(
     topic: str | None,
 ) -> ReviewRecord:
     """A :class:`ReviewRecord` from fields :func:`parse_records_jsonl` has
-    checked: non-empty ``artifact_id`` and ``reviewer``, and a timestamp
-    that :func:`parse_timestamp` built."""
+    checked in bulk: non-empty ``artifact_id`` and ``reviewer``, and a
+    timestamp that :func:`_instants` built."""
     record = object.__new__(ReviewRecord)
     _set_artifact_id(record, artifact_id)
     _set_submitter(record, submitter)
@@ -257,27 +258,8 @@ def build_log(
     return TraceLog(_event_log(tuple(traces)), strategy.label, len(records), window)
 
 
-def durations(log: TraceLog | EventLog) -> dict[str, list[timedelta]]:
-    """Per case, the gaps between consecutive events.
-
-    Single timestamps per event are all the input offers, so execution
-    duration is approximated by inter-event gaps.
-    """
-    event_log = log.log if isinstance(log, TraceLog) else log
-    gaps: dict[str, list[timedelta]] = {}
-    for trace in event_log.traces:
-        stamps = trace.timestamps
-        if None in stamps:
-            raise LogError(f"case {trace.case_id!r} has an untimestamped event")
-        gaps[trace.case_id] = [b - a for a, b in zip(stamps, stamps[1:])]
-    return gaps
-
-
 _REQUIRED_FIELDS = ("artifact_id", "submitter", "reviewer", "comment", "timestamp")
 _required_values = itemgetter(*_REQUIRED_FIELDS)
-# The C scanner that json.loads runs, called directly: it reads one value
-# from an offset and leaves the rest of the line to the caller.
-_scan_once = json.JSONDecoder().scan_once
 
 # One line as json.dumps writes a record with its default separators and the
 # documented key order: the seven fields, then an eighth group that is the
@@ -305,8 +287,9 @@ def parse_records_jsonl(text: str) -> list[ReviewRecord]:
 
     A line written as ``json.dumps`` writes a record, with its default
     separators, the keys in that order and no escape in any string, is read
-    in bulk by one regex; any other line is read by the json module. Both
-    give the same records, and the same errors with the same line numbers.
+    in bulk by one regex. Any other line is read by :func:`json.loads` and
+    checked by the :class:`ReviewRecord` constructor. Both give the same
+    records, and the same errors with the same line numbers.
     """
     records = []
     # Lines end at \r\n, \r or \n only; str.splitlines would also split at
@@ -335,7 +318,7 @@ def parse_records_jsonl(text: str) -> list[ReviewRecord]:
     return records
 
 
-def _tokenize(text: str, start: int, end: int) -> tuple[list, list] | tuple[None, None]:
+def _tokenize(text: str, start: int, end: int) -> tuple[list, tuple] | tuple[None, None]:
     """The :data:`_RECORD_LINE` groups of each line in ``text[start:end]`` and
     the timestamps of its lines in the documented layout, or Nones, which leave
     every line of the block to the json module: when its first line is in
@@ -344,33 +327,24 @@ def _tokenize(text: str, start: int, end: int) -> tuple[list, list] | tuple[None
     if not _RECORD_LINE.match(text, start, end)[1]:
         return None, None
     rows = _RECORD_LINE.findall(text, start, end)
-    stamps = "\n".join([row[4] for row in rows if row[0]])
-    try:  # as parse_timestamp does, which gives timezone.utc
-        return rows, list(map(datetime.fromisoformat, stamps.replace("Z", "+00:00").split("\n")))
+    try:
+        return rows, _instants("\n".join([row[4] for row in rows if row[0]]))
     except ValueError:
         return None, None
 
 
 def _parse_line(line: str, line_no: int) -> ReviewRecord | None:
-    """The record of one line read with the json module, None for a blank line."""
+    """The record of one line read with :func:`json.loads` and checked by the
+    :class:`ReviewRecord` constructor, None for a blank line; a flaw is a
+    :class:`RecordParseError` at ``line_no``."""
     if not line.strip():
         return None
-    # A line that is one JSON value followed by nothing but JSON
-    # whitespace is read by the scanner alone. json.loads reads every
-    # other line (leading whitespace, a BOM, trailing text, an error),
-    # so that it accepts or rejects it with its own message.
     try:
-        payload, end = _scan_once(line, 0)
-        scanned = not line[end:].strip(" \t\n\r")
-    except (StopIteration, ValueError, RecursionError):
-        scanned = False
-    if not scanned:
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordParseError(f"invalid JSON: {exc.msg}", line_no) from None
-        except RecursionError:
-            raise RecordParseError("invalid JSON: nested too deeply", line_no) from None
+        payload = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise RecordParseError(f"invalid JSON: {exc.msg}", line_no) from None
+    except RecursionError:
+        raise RecordParseError("invalid JSON: nested too deeply", line_no) from None
     if not isinstance(payload, dict):
         raise RecordParseError("record is not a JSON object", line_no)
     try:
@@ -393,15 +367,11 @@ def _parse_line(line: str, line_no: int) -> ReviewRecord | None:
     if topic is not None and not isinstance(topic, str):
         raise RecordParseError("topic must be a string when present", line_no)
     try:
-        timestamp = parse_timestamp(stamp)
-    except LogError as exc:
+        return ReviewRecord(
+            artifact_id, submitter, reviewer, comment, parse_timestamp(stamp), thread_id or None, topic or None
+        )
+    except (LogError, RecordError) as exc:
         raise RecordParseError(str(exc), line_no) from None
-    # The checks of ReviewRecord, in its order and with its messages.
-    if not artifact_id:
-        raise RecordParseError("record has empty artifact_id", line_no)
-    if not reviewer:
-        raise RecordParseError("record has empty reviewer", line_no)
-    return _record(artifact_id, submitter, reviewer, comment, timestamp, thread_id or None, topic or None)
 
 
 def metadata_json(trace_log: TraceLog) -> str:

@@ -432,6 +432,7 @@ class TestParseRecordsJsonl:
     @example('{"artifact_id": "X", "submitter": "s", "reviewer": "r", "comment": "", "timestamp": "2012-05-03T12:00:00Z"} x')
     @example('{"artifact_id": "X", "submitter": 1, "reviewer": "r", "comment": "", "timestamp": "2012-05-03T12:00:00Z"}')
     @example('{"artifact_id": "", "submitter": "s", "reviewer": "", "comment": "", "timestamp": "2012-02-30T12:00:00Z"}')
+    @example('{"artifact_id": "", "submitter": "s", "reviewer": "", "comment": "", "timestamp": "2012-02-28T12:00:00Z"}')
     @example('{"artifact_id": "X", "submitter": "s", "reviewer": "r", "comment": "", "timestamp": "2012-05-03T12:00:00Z", '
              '"thread_id": "t1", "thread_id": null}')
     @example('[1] ]')
@@ -466,7 +467,7 @@ class TestParseRecordsJsonl:
         assert len(text) > 2 * reviews._BLOCK
         expected = reference_parse_records_jsonl(text)
         refuse = mock.Mock(side_effect=AssertionError("the json module was called"))
-        with mock.patch.object(reviews, "_scan_once", refuse), mock.patch.object(json, "loads", refuse):
+        with mock.patch.object(json, "loads", refuse):
             assert parse_records_jsonl(text) == expected
 
     @pytest.mark.parametrize(
@@ -476,9 +477,10 @@ class TestParseRecordsJsonl:
             _DOCUMENTED.replace("2012-05-03", "2012-02-30"),
             _DOCUMENTED.replace("2012-05-03", "2012-5-3"),
             _DOCUMENTED.replace('"r1"', '""'),
+            _DOCUMENTED.replace('"X"', '""'),
             '["X"]',
         ],
-        ids=["invalid-json", "stamp-out-of-range", "stamp-shape", "empty-reviewer", "not-an-object"],
+        ids=["invalid-json", "stamp-out-of-range", "stamp-shape", "empty-reviewer", "empty-artifact", "not-an-object"],
     )
     @pytest.mark.parametrize("block", ["first", "second"])
     def test_a_flaw_among_documented_lines_is_reported_at_its_line(self, flawed, block):

@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from trailnet.alpha import alpha
-from trailnet.eventlog import LogError, parse_csv_log, serialize_csv_log
+from trailnet.eventlog import parse_csv_log, serialize_csv_log
 from trailnet.relations import footprint
 from trailnet.reviews import (
     ByArtifact,
@@ -19,7 +19,6 @@ from trailnet.reviews import (
     ReviewRecord,
     TraceLog,
     build_log,
-    durations,
     metadata_json,
     parse_records_jsonl,
     time_window_filter,
@@ -49,6 +48,9 @@ class TestRecordValidation:
             record(artifact="")
         with pytest.raises(RecordError):
             record(reviewer="")
+        # Artifact before reviewer: a JSONL line with both empty reports the artifact.
+        with pytest.raises(RecordError, match="^record has empty artifact_id$"):
+            record(artifact="", reviewer="")
 
     def test_subsecond_timestamp_rejected(self):
         with pytest.raises(RecordError):
@@ -239,30 +241,6 @@ class TestTimeWindowFilter:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError):
             time_window_filter([], T0 + timedelta(seconds=1), T0)
-
-
-class TestDurations:
-    def test_gap_sequence(self):
-        records = [record(at=0), record(at=60, reviewer="R2"), record(at=90)]
-        trace_log = build_log(records, ByArtifact())
-        assert durations(trace_log) == {"X": [timedelta(seconds=60), timedelta(seconds=30)]}
-
-    def test_single_event_case(self):
-        assert durations(build_log([record()], ByArtifact())) == {"X": []}
-
-    def test_matches_pairwise_difference_oracle(self):
-        rng = random.Random(15)
-        trace_log = build_log(random_records(rng, n_cases=25), ByArtifact())
-        got = durations(trace_log)
-        for trace in trace_log.log.traces:
-            stamps = trace.timestamps
-            assert got[trace.case_id] == [stamps[i + 1] - stamps[i] for i in range(len(stamps) - 1)]
-
-    def test_untimestamped_event_rejected(self):
-        from trailnet.eventlog import log_from_sequences
-
-        with pytest.raises(LogError):
-            durations(log_from_sequences(["AB"]))
 
 
 class TestJsonl:
