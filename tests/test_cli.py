@@ -400,6 +400,27 @@ class TestErrors:
         assert payload["error"].startswith("line 2: bad timestamp")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field", ["reviewer", "artifact_id"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-log", "--strategy", "artifact"],
+            ["social", "--relation", "review"],
+        ],
+    )
+    def test_empty_field_in_a_sorted_key_record_is_io_error(self, tmp_path, capsys, argv, field):
+        lines = [
+            json.loads(_record_line("X", "r1", "2012-05-03T12:00:00Z")),
+            json.loads(_record_line("X", "r2", "2012-05-03T13:00:00Z")),
+        ]
+        lines[1][field] = ""
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines), encoding="utf-8")
+        code = main(argv + ["--input", str(bad), "--output", str(tmp_path / "o")])
+        assert code == 1
+        assert _stderr_payload(capsys) == {"code": 1, "error": f"line 2: record has empty {field}"}
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import sys
 from datetime import datetime, timedelta, timezone
 
@@ -20,6 +21,7 @@ from trailnet.eventlog import (
     serialize_csv_log,
 )
 from trailnet.relations import footprint
+from trailnet.reviews import RecordParseError, parse_records_jsonl
 
 from .conftest import SAMPLE_CSV, SAMPLE_SEQUENCES
 
@@ -134,6 +136,32 @@ class TestTimestamps:
                 parse_timestamp(text)
         else:
             assert parse_timestamp(text) == expected
+
+    @given(_fixed_width_stamps)
+    @example("2012-02-29T23:59:59Z")
+    @example("2011-02-29T00:00:00Z")
+    @example("2012-05-03T24:00:00Z")
+    def test_log_and_record_readers_decode_stamps_as_strptime_does(self, text):
+        # The CSV reader's columns, the JSONL bulk regex (documented key order)
+        # and the JSONL line reader (sorted keys) each decode a stamp.
+        csv_text = f"case_id,activity,originator,timestamp\nc,A,,{text}\nc,B,,{text}\n"
+        fields = {"artifact_id": "X", "submitter": "s", "reviewer": "r", "comment": "", "timestamp": text}
+        documented = json.dumps(fields) + "\n"
+        sorted_keys = json.dumps(fields, sort_keys=True, separators=(",", ":")) + "\n"
+        try:
+            expected = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=UTC)
+        except ValueError:
+            with pytest.raises(LogParseError, match="^line 2: bad timestamp"):
+                parse_csv_log(csv_text)
+            for jsonl in (documented, sorted_keys):
+                with pytest.raises(RecordParseError, match="^line 1: bad timestamp"):
+                    parse_records_jsonl(jsonl)
+        else:
+            stamps = parse_csv_log(csv_text).traces[0].timestamps
+            for jsonl in (documented, sorted_keys):
+                stamps += tuple(record.timestamp for record in parse_records_jsonl(jsonl))
+            assert stamps == (expected,) * 4
+            assert all(stamp.tzinfo is UTC for stamp in stamps)
 
     def test_naive_datetimes_count_as_utc(self):
         trace = one_event(timestamp=datetime(2020, 1, 1, 12, 0, 0))
