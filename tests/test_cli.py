@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import random
@@ -14,14 +15,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from trailnet.alpha import alpha, intermediates_to_json
 from trailnet.cli import main
-from trailnet.eventlog import parse_csv_log
+from trailnet.eventlog import format_timestamp, parse_csv_log, serialize_csv_log
 from trailnet.petri import WorkflowNet, to_json
 from trailnet.relations import footprint, footprint_to_csv
 from trailnet.reviews import ByArtifact, build_log, parse_records_jsonl
+from trailnet.social import graph_to_json, review_relation
 
 from .conftest import SAMPLE_CSV
 from .netgen import random_structured_net
 from .oracles import reference_generate_traces
+from .reviewgen import random_records
 
 
 def _record_line(artifact, reviewer, stamp, submitter="sam", thread=None):
@@ -649,6 +652,144 @@ class TestErrors:
         assert main([]) == 2
 
 
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The collector's setting on entry to main; the test's own is restored after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector and gives the caller back its setting."""
+
+    @pytest.mark.parametrize(
+        "argv, limit, code",
+        [
+            (["footprint", "--input", "{csv}"], None, 0),
+            (["footprint", "--input", "{absent}"], None, 1),
+            (["simulate", "--input", "{csv}", "--max-length", "-1"], None, 2),
+            (["mine", "--input", "{csv}"], "1", 3),
+            (["footprint", "--input", "{csv}", "--bogus"], None, 2),
+        ],
+        ids=["ok", "io-error", "config-error", "alphabet-limit", "argparse-error"],
+    )
+    def test_setting_restored_on_every_exit_code(
+        self, tmp_path, sample_csv_path, monkeypatch, collector, argv, limit, code
+    ):
+        if limit is not None:
+            monkeypatch.setenv("TRAILNET_ALPHABET_LIMIT", limit)
+        argv = [a.format(csv=sample_csv_path, absent=tmp_path / "absent.csv") for a in argv]
+        assert main(argv + ["--output", str(tmp_path / "out")]) == code
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_setting_restored_when_a_handler_raises(self, tmp_path, sample_csv_path, monkeypatch, collector, error):
+        def handler(args, text):
+            assert not gc.isenabled()
+            raise error("handler failed")
+
+        monkeypatch.setattr("trailnet.cli._cmd_footprint", handler)
+        with pytest.raises(error, match="handler failed"):
+            main(["footprint", "--input", str(sample_csv_path), "--output", str(tmp_path / "out")])
+        assert gc.isenabled() is collector
+
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        """A 20-case and a 2 000-case review corpus, each with the log and net built from it."""
+        folders = {}
+        for cases in (20, 2000):
+            folder = folders[cases] = tmp_path_factory.mktemp(f"corpus{cases}")
+            lines = (
+                json.dumps(
+                    {
+                        "artifact_id": r.artifact_id,
+                        "submitter": r.submitter,
+                        "reviewer": r.reviewer,
+                        "comment": r.comment,
+                        "timestamp": format_timestamp(r.timestamp),
+                        "thread_id": r.thread_id,
+                        "topic": r.topic,
+                    }
+                )
+                + "\n"
+                for r in random_records(random.Random(cases), n_cases=cases)
+            )
+            (folder / "records.jsonl").write_text("".join(lines), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["build-log", "--input", str(folder / "records.jsonl"),
+                             "--output", str(folder / "log.csv"), "--strategy", "artifact"]) == 0
+                assert main(["mine", "--input", str(folder / "log.csv"), "--output", str(folder / "mined")]) == 0
+        return folders
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-log", "--input", "records.jsonl", "--strategy", "artifact"],
+            ["footprint", "--input", "log.csv"],
+            ["mine", "--input", "log.csv"],
+            ["social", "--input", "log.csv", "--relation", "handover"],
+            ["social", "--input", "records.jsonl", "--relation", "review"],
+            ["simulate", "--input", "mined.net.json"],
+            ["export", "--input", "log.csv", "--format", "csv"],
+        ],
+        ids=" ".join,
+    )
+    def test_cyclic_garbage_left_does_not_grow_with_the_input(self, corpora, collector, argv):
+        # With the collector off on entry nothing collects between the call and
+        # the count, so gc.collect() finds all the cyclic garbage the call left.
+        # Versions differ in that number; the input's size must not change it.
+        gc.disable()
+
+        def garbage(folder):
+            gc.collect()
+            args = [str(folder / a) if flag == "--input" else a for flag, a in zip([None, *argv], argv)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(args + ["--output", str(folder / "out")]) == 0
+            return gc.collect()
+
+        garbage(corpora[20])  # first calls may fill caches
+        assert garbage(corpora[20]) == garbage(corpora[2000])
+
+
+class TestByteOrderMark:
+    """An input that starts with a UTF-8 byte-order mark gives the same outputs as without it."""
+
+    @pytest.mark.parametrize(
+        "kind, argv",
+        [
+            ("jsonl", ["build-log", "--strategy", "artifact"]),
+            ("csv", ["footprint"]),
+            ("csv", ["mine"]),
+            ("csv", ["social", "--relation", "handover"]),
+            ("jsonl", ["social", "--relation", "review"]),
+            ("net", ["simulate"]),
+            ("net", ["export", "--format", "dot"]),
+            ("graph", ["export", "--format", "json"]),
+            ("csv", ["export", "--format", "csv"]),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_same_bytes_with_and_without_bom(self, tmp_path, capsys, kind, argv):
+        text = {
+            "jsonl": RECORDS_JSONL,
+            "csv": serialize_csv_log(build_log(parse_records_jsonl(RECORDS_JSONL), ByArtifact()).log),
+            "net": to_json(alpha(parse_csv_log(SAMPLE_CSV))[0]),
+            "graph": graph_to_json(review_relation(parse_records_jsonl(RECORDS_JSONL))),
+        }[kind]
+        written = {}
+        for name, prefix in [("plain", b""), ("bom", b"\xef\xbb\xbf")]:
+            folder = tmp_path / name
+            folder.mkdir()
+            (folder / "input").write_bytes(prefix + text.encode("utf-8"))
+            assert main(argv + ["--input", str(folder / "input"), "--output", str(folder / "out")]) == 0
+            assert capsys.readouterr().err == ""
+            written[name] = {p.name: p.read_bytes() for p in folder.iterdir() if p.name != "input"}
+        assert written["plain"]
+        assert written["bom"] == written["plain"]
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -800,6 +941,7 @@ class TestContractFuzz:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv + ["--input", str(source), "--output", str(Path(tmp, "out"))])
+        assert gc.isenabled()
         if code == 0:
             return
         lines = err.getvalue().splitlines()
