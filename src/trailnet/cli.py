@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .alpha import DEFAULT_ALPHABET_LIMIT, AlphabetLimitError, alpha, intermediates_to_json
 from .eventlog import LogError, parse_csv_log, parse_timestamp, serialize_csv_log
-from .petri import _net_from_payload, generate_traces, net_from_json, to_dot, to_json
+from .petri import _json_value, _net_from_payload, generate_traces, net_from_json, to_dot, to_json
 from .relations import footprint, footprint_to_csv
 from .reviews import (
     ByArtifact,
@@ -38,7 +38,6 @@ from .reviews import (
     build_log,
     metadata_json,
     parse_records_jsonl,
-    time_window_filter,
 )
 from .social import (
     _graph_from_payload,
@@ -175,10 +174,7 @@ def _write(prefix: Path, texts: dict[str, str]) -> None:
 
 
 def _cmd_build_log(args: argparse.Namespace, text: str) -> dict[str, str]:
-    records = parse_records_jsonl(text)
-    if args.window is not None:
-        records = time_window_filter(records, *args.window)
-    trace_log = build_log(records, args.strategy, window=args.window)
+    trace_log = build_log(parse_records_jsonl(text), args.strategy, window=args.window)
     return {"": serialize_csv_log(trace_log.log), ".meta.json": metadata_json(trace_log)}
 
 
@@ -236,14 +232,11 @@ def _cmd_simulate(args: argparse.Namespace, text: str) -> dict[str, str]:
 
 
 def _cmd_export(args: argparse.Namespace, text: str) -> dict[str, str]:
-    if not text.lstrip().startswith("{"):
+    if not text.lstrip().startswith(("{", "[")):
         if args.format != "csv":
             raise ConfigError(f"an event log can only be exported as csv, not {args.format}")
         return {"": serialize_csv_log(parse_csv_log(text))}
-    try:
-        payload = json.loads(text)
-    except RecursionError:
-        raise LogError("invalid JSON: nested too deeply") from None
+    payload = _json_value(text, LogError, "JSON")
     if isinstance(payload, dict) and "places" in payload:
         artifact, value = "net", _net_from_payload(payload)
         renderers = {"dot": to_dot, "json": to_json}

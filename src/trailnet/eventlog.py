@@ -208,9 +208,9 @@ def parse_csv_log(source: str | TextIO) -> EventLog:
     Rows are grouped by ``case_id`` preserving file order within a case;
     cases whose events carry timestamps are then stably re-sorted by
     timestamp. Raises :class:`LogParseError` with the offending line
-    number for malformed rows.
+    number for malformed rows. Leading byte-order marks are skipped.
     """
-    text = source.read() if hasattr(source, "read") else source
+    text = (source.read() if hasattr(source, "read") else source).lstrip("\ufeff")
     return _log(_columns(text) or _rows(text))
 
 
@@ -224,7 +224,7 @@ def _columns(text: str) -> list | None:
     # A NUL is a csv.Error before Python 3.11 and a character after.
     if '"' in text or "\r" in text or "\0" in text:
         return None
-    lines = text.lstrip("\ufeff").split("\n")
+    lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the final line end
     if len(lines) < 2 or lines[0] != ",".join(CSV_HEADER) or set(map(str.count, lines, repeat(","))) != {3}:
@@ -262,7 +262,7 @@ def _columns(text: str) -> list | None:
 def _rows(text: str) -> list:
     """The columns of a log read row by row with the csv module: case ids, activities, originators,
     timestamps (None when no row has one) and each row's line. Raises the first bad row's error."""
-    reader = csv.reader(io.StringIO(text.lstrip("\ufeff"), newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
     case_ids, activities, originators, timestamps, lines = [], [], [], [], []
     try:
         header = next(reader, None)

@@ -21,14 +21,12 @@ class NetStructureError(ValueError):
 
 
 class _IndexedNet(NamedTuple):
-    """A net's arcs as indices into its sorted places, for the token games."""
+    """A net's arcs as indices into its sorted places, for the token games: replay
+    looks each transition up in ``arcs_of`` and the search walks it in reverse."""
 
     places: tuple[str, ...]
-    # transition -> (input place indices, output place indices)
+    # transition -> (input place indices, output place indices), in sorted transition order
     arcs_of: dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
-    # (transition, inputs, outputs), reverse-sorted by transition: pushing
-    # children in this order pops the lexicographically smallest one first.
-    moves: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]
     source: int
     sink: int
 
@@ -85,8 +83,7 @@ class WorkflowNet:
             t: (tuple(index[p] for p in self.inputs(t)), tuple(index[p] for p in self.outputs(t)))
             for t in sorted(self.transitions)
         }
-        moves = tuple((t, *arcs_of[t]) for t in reversed(arcs_of))
-        return _IndexedNet(places, arcs_of, moves, index[self.source], index[self.sink])
+        return _IndexedNet(places, arcs_of, index[self.source], index[self.sink])
 
     @cached_property
     def _replays(self) -> dict[tuple[str, ...], ReplayResult]:
@@ -250,7 +247,7 @@ def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> Trace
         children = successors[state]
         if children is None:
             children = successors[state] = []
-            for transition, child in _successors(markings[state], indexed.moves):
+            for transition, child in _successors(markings[state], indexed.arcs_of):
                 child_id = ids.get(child)
                 if child_id is None:
                     child_id = ids[child] = len(markings)
@@ -280,11 +277,13 @@ def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> Trace
 
 
 def _successors(
-    marking: tuple[int, ...], moves: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]
+    marking: tuple[int, ...], arcs_of: dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
 ) -> list[tuple[str, tuple[int, ...]]]:
-    """``(transition, marking after firing it)`` for each enabled move, in order."""
+    """``(transition, marking after firing it)`` for each enabled transition, in
+    reverse-sorted transition order, since ``arcs_of`` is sorted: pushing the
+    children in this order pops the lexicographically smallest one first."""
     children = []
-    for transition, consumed, produced in moves:
+    for transition, (consumed, produced) in reversed(arcs_of.items()):
         if all(marking[p] for p in consumed):
             child = list(marking)
             for p in consumed:
@@ -341,13 +340,19 @@ def to_json(net: WorkflowNet) -> str:
 
 def net_from_json(text: str) -> WorkflowNet:
     """Parse the JSON rendering produced by :func:`to_json`."""
+    return _net_from_payload(_json_value(text, NetStructureError, "net JSON"))
+
+
+def _json_value(text: str, error: type[ValueError], what: str) -> object:
+    """The JSON value of ``text``, for every JSON artifact reader: a decode error
+    raises ``error("invalid <what>: <its message>")``, and nesting too deep for
+    the decoder ``error("invalid <what>: nested too deeply")``."""
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise NetStructureError(f"invalid net JSON: {exc}") from None
+        raise error(f"invalid {what}: {exc}") from None
     except RecursionError:
-        raise NetStructureError("invalid net JSON: nested too deeply") from None
-    return _net_from_payload(payload)
+        raise error(f"invalid {what}: nested too deeply") from None
 
 
 def _net_from_payload(payload: object) -> WorkflowNet:

@@ -230,9 +230,11 @@ def build_log(
     where the verb is ``review`` unless a ``verb_map`` keyword matches
     the comment text (the first match in sorted keyword order, ignoring
     case). Output traces are ordered by case id, so identical inputs
-    serialize byte-identically.
+    serialize byte-identically. A ``window`` keeps only the records that
+    :func:`time_window_filter` keeps, and is recorded with the count of
+    those records; an inverted window raises ``ValueError``.
     """
-    records = list(records)
+    records = list(records) if window is None else time_window_filter(records, *window)
     if not records:
         raise RecordError("no records to build a log from")
     cases = _group_records(records, strategy)

@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .eventlog import EventLog, LogError
-from .petri import _is_string_list, _quote
+from .petri import _is_string_list, _json_value, _quote
 from .reviews import ReviewRecord
 
 
@@ -80,13 +80,7 @@ def graph_to_json(graph: SocialGraph) -> str:
 
 def graph_from_json(text: str) -> SocialGraph:
     """Parse the JSON rendering produced by :func:`graph_to_json`."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid social graph JSON: {exc}") from None
-    except RecursionError:
-        raise ValueError("invalid social graph JSON: nested too deeply") from None
-    return _graph_from_payload(payload)
+    return _graph_from_payload(_json_value(text, ValueError, "social graph JSON"))
 
 
 def _graph_from_payload(payload: object) -> SocialGraph:

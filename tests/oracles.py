@@ -370,6 +370,8 @@ def _verb_for(comment: str, verb_map: Mapping[str, str] | None) -> str:
 
 def reference_build_log(records, strategy, verb_map=None, window=None) -> TraceLog:
     records = list(records)
+    if window is not None:
+        records = [r for r in records if window[0] <= r.timestamp <= window[1]]
     if not records:
         raise RecordError("no records to build a log from")
     cases = _group_records(records, strategy)

@@ -64,6 +64,10 @@ def records_path(tmp_path):
     return path
 
 
+# What the json module says of the text "{bad", on every supported Python.
+_BAD_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+
+
 def _stderr_payload(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
@@ -354,6 +358,26 @@ class TestExport:
         assert _stderr_payload(capsys)["code"] == 2
 
 
+    @pytest.mark.parametrize("fmt", ["dot", "json", "csv"])
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("[1, 2]", "unrecognized JSON artifact: expected a net or a social graph"),
+            ("[]", "unrecognized JSON artifact: expected a net or a social graph"),
+            # Python 3.13 decodes 5 000 nested "[" without a RecursionError, 100 000 on no version.
+            ("[" * 100_000, "invalid JSON: nested too deeply"),
+        ],
+        ids=["array", "empty-array", "deep-array"],
+    )
+    def test_json_array_is_read_as_json(self, tmp_path, capsys, text, error, fmt):
+        path = tmp_path / "array.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["export", "--input", str(path), "--output", str(out), "--format", fmt]) == 1
+        assert capsys.readouterr().err == json.dumps({"code": 1, "error": error}) + "\n"
+        assert not out.exists()
+
+
 class TestPipelineComposition:
     def test_cli_equals_library(self, tmp_path, records_path):
         log_path = tmp_path / "log.csv"
@@ -561,6 +585,23 @@ class TestErrors:
         payload = _stderr_payload(capsys)
         assert payload["code"] == 1
         assert "nested too deeply" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "command, text, error",
+        [
+            (["simulate"], "{bad", "invalid net JSON: " + _BAD_JSON),
+            (["export", "--format", "dot"], "{bad", "invalid JSON: " + _BAD_JSON),
+            (["simulate"], "[" * 100_000, "invalid net JSON: nested too deeply"),
+            (["export", "--format", "json"], "[" * 100_000, "invalid JSON: nested too deeply"),
+        ],
+        ids=["simulate-bad", "export-bad", "simulate-deep", "export-deep"],
+    )
+    def test_undecodable_json_error_line(self, tmp_path, capsys, command, text, error):
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [command[0], "--input", str(path), "--output", str(tmp_path / "out"), *command[1:]]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == json.dumps({"code": 1, "error": error}) + "\n"
 
     def test_repeated_graph_edge_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "graph.json"

@@ -31,9 +31,11 @@ from trailnet.reviews import (
     ByCommit,
     ByThread,
     ByTopic,
+    RecordError,
     RecordParseError,
     ReviewRecord,
     build_log,
+    metadata_json,
     parse_records_jsonl,
 )
 
@@ -201,8 +203,9 @@ def _outcome(parse, *args):
 
 
 def _bulk(text):
-    """The log that the bulk tokenizer and the builder make of ``text``, or None."""
-    columns = _columns(text)
+    """The log that the bulk tokenizer and the builder make of ``text``, past its
+    leading BOMs as ``parse_csv_log`` skips them, or None."""
+    columns = _columns(text.lstrip("\ufeff"))
     return None if columns is None else _log(columns)
 
 
@@ -273,7 +276,9 @@ class TestParseCsvLog:
     @example(HEADER + "\n1,B,,2012-05-03T12:00:01Z\n2,A,,2012-05-03T12:00:00Z\n1,A,,2012-05-03T12:00:00Z\n")
     def test_tokenizers_agree(self, text):
         """Whenever the bulk tokenizer accepts a text, it gives the columns
-        that the csv module's row tokenizer gives."""
+        that the csv module's row tokenizer gives. Both read the text past
+        its leading BOMs, as ``parse_csv_log`` hands it to them."""
+        text = text.lstrip("\ufeff")
         columns = _columns(text)
         if columns is not None:
             rows = _rows(text)
@@ -323,21 +328,36 @@ class TestParseCsvLog:
         _assert_same_log(log, text)
 
     @pytest.mark.parametrize(
-        "built",
+        "built, bom",
         [
-            build_log(random_records(random.Random(1)), ByArtifact()).log,
-            log_from_sequences(["AB", "BA", "ABC"] * 20),
+            (build_log(random_records(random.Random(1)), ByArtifact()).log, ""),
+            (log_from_sequences(["AB", "BA", "ABC"] * 20), ""),
+            (build_log(random_records(random.Random(1)), ByArtifact()).log, "\ufeff"),
         ],
-        ids=["review-log", "unstamped"],
+        ids=["review-log", "unstamped", "bom-review-log"],
     )
-    def test_a_written_log_takes_the_columnar_path(self, built):
-        """A log as ``build-log`` and ``export`` write it is written and read
-        in bulk, so a silent fall back to the csv module cannot pass."""
+    def test_a_written_log_takes_the_columnar_path(self, built, bom):
+        """A log as ``build-log`` and ``export`` write it, after a BOM or not,
+        is written and read in bulk, so a silent fall back to the csv module
+        cannot pass."""
         text = _bulk_text(built)
         assert text == reference_serialize_csv_log(built)
+        text = bom + text
         log = _bulk(text)
         assert log is not None
         _assert_same_log(log, text)
+        with mock.patch.object(eventlog, "_rows", _refuse):
+            assert parse_csv_log(text) == log
+
+    @pytest.mark.parametrize(
+        "text",
+        [HEADER + "\n1,B,u,2012-05-03T12:00:01Z\n1,A,,2012-05-03T12:00:00Z\n", HEADER + '\n1,"B",u,\n'],
+        ids=["bulk", "rows"],
+    )
+    def test_any_number_of_leading_boms_is_skipped(self, text):
+        log = parse_csv_log(text)
+        assert parse_csv_log("\ufeff" + text) == log
+        assert parse_csv_log("\ufeff\ufeff\ufeff" + text) == log
 
     def test_columnar_path_sorts_cases_stably(self):
         """Cases come in file order, and a case's rows are sorted by stamp,
@@ -519,6 +539,11 @@ _STRATEGY = st.one_of(
     st.builds(ByTopic),
     st.sampled_from([0, 30, 3600]).map(lambda s: ByCommit(timedelta(seconds=s))),
 )
+_SECOND = timedelta(seconds=1)
+# Window ends are record stamps, instants between and around them, or
+# arbitrary instants; each pair is sorted, so no drawn window is inverted.
+_INSTANT = st.sampled_from([-30, 0, 30, 45, 60, 7200]).map(lambda s: _T0 + timedelta(seconds=s)) | _STAMP
+_WINDOW = st.none() | st.tuples(_INSTANT, _INSTANT).map(lambda ends: tuple(sorted(ends)))
 _VERB_MAP = st.none() | st.dictionaries(st.sampled_from(["revert", "NIT", "ok"]), st.sampled_from(["undo", "style"]))
 # Keywords and comments over a few letters of both cases, so that keywords
 # differ only in case, overlap, or hold one another, and comments hold
@@ -544,6 +569,41 @@ class TestBuildLog:
         assert _outcome(build_log, records, strategy, verb_map) == _outcome(
             reference_build_log, records, strategy, verb_map
         )
+
+    @given(st.lists(_REVIEW_RECORD, max_size=8), _STRATEGY, _VERB_MAP, _WINDOW)
+    @example([ReviewRecord("X", "sam", "r1", "ok", _T0)], ByArtifact(), None, (_T0, _T0))
+    @example([ReviewRecord("X", "sam", "r1", "ok", _T0)], ByArtifact(), None, (_T0 + _SECOND, _T0 + _SECOND))
+    def test_window_matches_reference(self, records, strategy, verb_map, window):
+        """``build_log`` keeps the records in the window it records: log,
+        metadata and error are the reference's, which filters on its own."""
+        result = _outcome(build_log, records, strategy, verb_map, window)
+        expected = _outcome(reference_build_log, records, strategy, verb_map, window)
+        assert result == expected
+        if not isinstance(result, tuple):
+            assert metadata_json(result) == metadata_json(expected)
+
+    def test_window_counts_only_the_records_inside_it(self):
+        records = [
+            ReviewRecord("X", "sam", "r1", "ok", _T0),
+            ReviewRecord("X", "sam", "r2", "ok", _T0 + timedelta(days=5)),
+        ]
+        trace_log = build_log(records, ByArtifact(), window=(_T0, _T0 + timedelta(days=1)))
+        assert trace_log.record_count == 1
+        assert json.loads(metadata_json(trace_log))["record_count"] == 1
+        assert [t.activities for t in trace_log.log.traces] == [("review:initiator",)]
+
+    def test_window_without_records_is_an_error(self):
+        records = [ReviewRecord("X", "sam", "r1", "ok", _T0)]
+        window = (_T0 + _SECOND, _T0 + timedelta(days=1))
+        with pytest.raises(RecordError) as caught:
+            build_log(records, ByArtifact(), window=window)
+        assert str(caught.value) == "no records to build a log from"
+
+    def test_inverted_window_is_an_error(self):
+        records = [ReviewRecord("X", "sam", "r1", "ok", _T0)]
+        with pytest.raises(ValueError) as caught:
+            build_log(records, ByArtifact(), window=(_T0 + _SECOND, _T0))
+        assert str(caught.value) == "inverted window: 2012-05-03T12:00:01+00:00 > 2012-05-03T12:00:00+00:00"
 
     @given(st.lists(_COMMENTED_RECORD, min_size=1, max_size=6), _VERB_MAPS)
     @example([ReviewRecord("X", "sam", "r1", "Revert it", _T0)], {})

@@ -620,6 +620,19 @@ class TestSerialization:
         with pytest.raises(NetStructureError, match="nested too deeply"):
             net_from_json('{"places": ' + "[" * 100_000)
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("{bad", "invalid net JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("[" * 100_000, "invalid net JSON: nested too deeply"),
+        ],
+        ids=["bad", "deep"],
+    )
+    def test_undecodable_json_message(self, text, error):
+        with pytest.raises(NetStructureError) as caught:
+            net_from_json(text)
+        assert str(caught.value) == error
+
     @settings(deadline=None)
     @given(_random_nets)
     def test_round_trip_any_net(self, net):

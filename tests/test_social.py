@@ -206,3 +206,20 @@ class TestSerialization:
     def test_deeply_nested_json_rejected(self):
         with pytest.raises(ValueError, match="nested too deeply"):
             graph_from_json('{"nodes": ' + "[" * 100_000)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (
+                "{bad",
+                "invalid social graph JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+            ),
+            ("[" * 100_000, "invalid social graph JSON: nested too deeply"),
+        ],
+        ids=["bad", "deep"],
+    )
+    def test_undecodable_json_message(self, text, error):
+        with pytest.raises(ValueError) as caught:
+            graph_from_json(text)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == error
