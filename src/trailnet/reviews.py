@@ -105,6 +105,7 @@ class ByArtifact:
     """One case per reviewed artifact."""
 
     label = "artifact"
+    key = "artifact_id"
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,7 @@ class ByThread:
     """One case per discussion thread."""
 
     label = "thread"
+    key = "thread_id"
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,7 @@ class ByTopic:
     """One case per topic / subject line."""
 
     label = "topic"
+    key = "topic"
 
 
 @dataclass(frozen=True)
@@ -164,6 +167,9 @@ def time_window_filter(
     return [r for r in records if start <= r.timestamp <= end]
 
 
+_timestamp = attrgetter("timestamp")
+
+
 def _group_records(
     records: Sequence[ReviewRecord], strategy: CaseStrategy
 ) -> dict[str, list[ReviewRecord]]:
@@ -179,7 +185,7 @@ def _group_records(
             by_submitter.setdefault(record.submitter, []).append(record)
         for submitter in sorted(by_submitter):
             sessions: list[list[ReviewRecord]] = []
-            for record in sorted(by_submitter[submitter], key=lambda r: r.timestamp):
+            for record in sorted(by_submitter[submitter], key=_timestamp):
                 if not sessions or record.timestamp - sessions[-1][-1].timestamp > strategy.window:
                     sessions.append([])
                 sessions[-1].append(record)
@@ -187,13 +193,9 @@ def _group_records(
                 cases[f"{submitter}@{format_timestamp(session[0].timestamp)}"] = session
         return cases
 
+    key_of = attrgetter(strategy.key)
     for record in records:
-        if isinstance(strategy, ByArtifact):
-            key = record.artifact_id
-        elif isinstance(strategy, ByThread):
-            key = record.thread_id
-        else:
-            key = record.topic
+        key = key_of(record)
         if not key:
             raise RecordError(
                 f"record on {record.artifact_id!r} lacks the {strategy.label} grouping key"
@@ -205,15 +207,11 @@ def _group_records(
 def _verb_for(comment: str, keywords: Sequence[tuple[str, str]]) -> str:
     """The verb of the first keyword, in ``keywords``' order, that ``comment``
     holds, ignoring case; ``keywords`` are (lower-cased keyword, verb) pairs."""
-    if keywords:
-        lowered = comment.lower()
-        for keyword, verb in keywords:
-            if keyword in lowered:
-                return verb
+    lowered = comment.lower()
+    for keyword, verb in keywords:
+        if keyword in lowered:
+            return verb
     return DEFAULT_VERB
-
-
-_timestamp = attrgetter("timestamp")
 
 
 def build_log(
@@ -303,14 +301,15 @@ def parse_records_jsonl(text: str) -> list[ReviewRecord]:
         end = text.find("\n", start + _BLOCK)
         if end < 0:
             end = len(text)
-        rows, timestamps = _tokenize(text, start, end)
-        if rows is None:
-            rows = text[start:end].split("\n")
-            records += filter(None, map(_parse_line, rows, count(line_no)))  # None for a blank line
+        rows = _RECORD_LINE.findall(text, start, end)
+        stamps = [row[4] for row in rows if row[0]]
+        try:
+            instants = iter(_instants("\n".join(stamps)) if stamps else ())
+        except ValueError:  # a stamp field out of range, such as February 30: json reads the block
+            records += filter(None, map(_parse_line, text[start:end].split("\n"), count(line_no)))
         else:
-            stamps = iter(timestamps)
             records += filter(None, [
-                _record(artifact, submitter, reviewer, comment, next(stamps), thread or None, topic or None)
+                _record(artifact, submitter, reviewer, comment, next(instants), thread or None, topic or None)
                 if artifact
                 else _parse_line(line, n)
                 for n, (artifact, submitter, reviewer, comment, _, thread, topic, line) in enumerate(rows, line_no)
@@ -318,21 +317,6 @@ def parse_records_jsonl(text: str) -> list[ReviewRecord]:
         line_no += len(rows)
         start = end + 1
     return records
-
-
-def _tokenize(text: str, start: int, end: int) -> tuple[list, tuple] | tuple[None, None]:
-    """The :data:`_RECORD_LINE` groups of each line in ``text[start:end]`` and
-    the timestamps of its lines in the documented layout, or Nones, which leave
-    every line of the block to the json module: when its first line is in
-    another layout, so that such a text costs one match per block, or when a
-    stamp has a field out of range, such as February 30."""
-    if not _RECORD_LINE.match(text, start, end)[1]:
-        return None, None
-    rows = _RECORD_LINE.findall(text, start, end)
-    try:
-        return rows, _instants("\n".join([row[4] for row in rows if row[0]]))
-    except ValueError:
-        return None, None
 
 
 def _parse_line(line: str, line_no: int) -> ReviewRecord | None:
@@ -362,12 +346,10 @@ def _parse_line(line: str, line_no: int) -> ReviewRecord | None:
         and isinstance(stamp, str)
     ):
         raise RecordParseError("record fields must be strings", line_no)
-    thread_id = payload.get("thread_id")
-    if thread_id is not None and not isinstance(thread_id, str):
-        raise RecordParseError("thread_id must be a string when present", line_no)
-    topic = payload.get("topic")
-    if topic is not None and not isinstance(topic, str):
-        raise RecordParseError("topic must be a string when present", line_no)
+    thread_id, topic = payload.get("thread_id"), payload.get("topic")
+    for name, value in ("thread_id", thread_id), ("topic", topic):
+        if value is not None and not isinstance(value, str):
+            raise RecordParseError(f"{name} must be a string when present", line_no)
     try:
         return ReviewRecord(
             artifact_id, submitter, reviewer, comment, parse_timestamp(stamp), thread_id or None, topic or None

@@ -18,16 +18,19 @@ from collections import Counter
 from datetime import datetime, timezone
 from typing import Mapping
 
-from trailnet.eventlog import CSV_HEADER, EventLog, LogError, LogParseError, Trace, _csv_text
+from trailnet.eventlog import CSV_HEADER, EventLog, LogError, LogParseError, Trace, _csv_text, format_timestamp
 from trailnet.petri import ReplayResult, TraceGenerationResult, WorkflowNet
 from trailnet.relations import FootprintMatrix, Relation
 from trailnet.reviews import (
     DEFAULT_VERB,
+    ByArtifact,
+    ByCommit,
+    ByThread,
+    ByTopic,
     RecordError,
     RecordParseError,
     ReviewRecord,
     TraceLog,
-    _group_records,
 )
 from trailnet.social import SocialGraph
 
@@ -368,13 +371,44 @@ def _verb_for(comment: str, verb_map: Mapping[str, str] | None) -> str:
     return DEFAULT_VERB
 
 
+_CASE_FIELDS = {ByArtifact: "artifact_id", ByThread: "thread_id", ByTopic: "topic"}
+
+
+def _reference_cases(records, strategy) -> dict[str, list[ReviewRecord]]:
+    """Case id -> its records: one case per value of the strategy's record
+    field, or, by commit, one pass over all records in time order that opens
+    a submitter's new session whenever the gap to their previous record
+    exceeds the window."""
+    if not isinstance(strategy, ByCommit):
+        cases = {}
+        for record in records:
+            key = getattr(record, _CASE_FIELDS[type(strategy)])
+            if not key:
+                raise RecordError(f"record on {record.artifact_id!r} lacks the {strategy.label} grouping key")
+            cases.setdefault(key, []).append(record)
+        return cases
+    for record in records:
+        if not record.submitter:
+            raise RecordError(f"record on {record.artifact_id!r} has no submitter; commit grouping needs one")
+    cases = {}
+    last = {}  # submitter -> their current case id and the instant of their previous record
+    for record in sorted(records, key=lambda r: r.timestamp):  # stable
+        case_id, previous = last.get(record.submitter, (None, None))
+        if case_id is None or record.timestamp - previous > strategy.window:
+            case_id = f"{record.submitter}@{format_timestamp(record.timestamp)}"
+            cases[case_id] = []
+        cases[case_id].append(record)
+        last[record.submitter] = case_id, record.timestamp
+    return cases
+
+
 def reference_build_log(records, strategy, verb_map=None, window=None) -> TraceLog:
     records = list(records)
     if window is not None:
         records = [r for r in records if window[0] <= r.timestamp <= window[1]]
     if not records:
         raise RecordError("no records to build a log from")
-    cases = _group_records(records, strategy)
+    cases = _reference_cases(records, strategy)
     traces = []
     for case_id in sorted(cases):
         ordered = sorted(cases[case_id], key=lambda r: r.timestamp)  # stable

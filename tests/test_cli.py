@@ -502,17 +502,29 @@ class TestErrors:
         assert _stderr_payload(capsys)["code"] == 2
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, error",
         [
-            ["build-log", "--strategy", "artifact", "--from", "2012-05-03T00:00:00Z"],
-            ["simulate", "--max-length", "-1"],
-            ["build-log", "--strategy", "commit", "--commit-window", "100000000000000"],
+            (
+                ["build-log", "--strategy", "artifact", "--from", "2012-05-03T00:00:00Z"],
+                "--from and --to must be given together",
+            ),
+            (["simulate", "--max-length", "-1"], "--max-length and --max-traces must be non-negative"),
+            (
+                ["build-log", "--strategy", "commit", "--commit-window", "100000000000000"],
+                "--commit-window 100000000000000 is too large",
+            ),
+            (
+                ["build-log", "--strategy", "artifact", "--from", "2012-13-01T00:00:00Z", "--to", "2012-12-01T00:00:00Z"],
+                "bad timestamp '2012-13-01T00:00:00Z', expected YYYY-MM-DDThh:mm:ssZ",
+            ),
+            (["build-log", "--strategy", "commit", "--commit-window", "-1"], "--commit-window must be non-negative"),
         ],
+        ids=["from-without-to", "negative-bound", "huge-commit-window", "bad-from-stamp", "negative-commit-window"],
     )
-    def test_config_error_comes_before_the_input_is_read(self, tmp_path, capsys, argv):
+    def test_config_error_comes_before_the_input_is_read(self, tmp_path, capsys, argv, error):
         code = main(argv + ["--input", str(tmp_path / "absent"), "--output", str(tmp_path / "o")])
         assert code == 2
-        assert _stderr_payload(capsys)["code"] == 2
+        assert capsys.readouterr().err == json.dumps({"code": 2, "error": error}) + "\n"
 
     def test_unknown_strategy_is_config_error(self, records_path, tmp_path, capsys):
         code = main(

@@ -192,6 +192,8 @@ _JSONL_TEXT = _jsonl_text()
 _DOCUMENTED = json.dumps(
     {"artifact_id": "X", "submitter": "sam", "reviewer": "r1", "comment": "ok", "timestamp": "2012-05-03T12:00:00Z"}
 )
+# The same record with its keys sorted, a layout the regex leaves to the json module.
+_SORTED = json.dumps(json.loads(_DOCUMENTED), sort_keys=True)
 
 
 def _outcome(parse, *args):
@@ -461,8 +463,11 @@ class TestParseRecordsJsonl:
         assert _outcome(parse_records_jsonl, text) == _outcome(reference_parse_records_jsonl, text)
 
     @given(_JSONL_TEXT, st.integers(0, 400))
+    @example(f"{_SORTED}\n{_SORTED}\n{_DOCUMENTED}\n{_DOCUMENTED}\n", len(_SORTED) + 1)
+    @example(f"{_DOCUMENTED}\n\n\n\n{_DOCUMENTED}", 1)
     def test_matches_reference_in_blocks_of_any_size(self, text, block):
-        """Texts are tokenized in blocks of lines; any block size gives the same outcome."""
+        """Texts are tokenized in blocks of lines; any block size gives the same
+        outcome, also for a block with no line in the documented layout."""
         with mock.patch.object(reviews, "_BLOCK", block):
             result = _outcome(parse_records_jsonl, text)
         assert result == _outcome(reference_parse_records_jsonl, text)
@@ -491,24 +496,32 @@ class TestParseRecordsJsonl:
             assert parse_records_jsonl(text) == expected
 
     @pytest.mark.parametrize(
-        "flawed",
+        "flawed, error",
         [
-            '{"artifact_id": "X", }',
-            _DOCUMENTED.replace("2012-05-03", "2012-02-30"),
-            _DOCUMENTED.replace("2012-05-03", "2012-5-3"),
-            _DOCUMENTED.replace('"r1"', '""'),
-            _DOCUMENTED.replace('"X"', '""'),
-            '["X"]',
+            ('{"artifact_id": "X", }', "invalid JSON: "),  # the rest is the json module's own text
+            (
+                _DOCUMENTED.replace("2012-05-03", "2012-02-30"),
+                "bad timestamp '2012-02-30T12:00:00Z', expected YYYY-MM-DDThh:mm:ssZ",
+            ),
+            (_DOCUMENTED.replace("2012-05-03", "2012-5-3"), "bad timestamp '2012-5-3T12:00:00Z', expected YYYY-MM-DDThh:mm:ssZ"),
+            (_DOCUMENTED.replace('"r1"', '""'), "record has empty reviewer"),
+            (_DOCUMENTED.replace('"X"', '""'), "record has empty artifact_id"),
+            ('["X"]', "record is not a JSON object"),
+            (_DOCUMENTED[:-1] + ', "topic": 5}', "topic must be a string when present"),
         ],
-        ids=["invalid-json", "stamp-out-of-range", "stamp-shape", "empty-reviewer", "empty-artifact", "not-an-object"],
+        ids=[
+            "invalid-json", "stamp-out-of-range", "stamp-shape", "empty-reviewer", "empty-artifact", "not-an-object",
+            "topic-not-a-string",
+        ],
     )
     @pytest.mark.parametrize("block", ["first", "second"])
-    def test_a_flaw_among_documented_lines_is_reported_at_its_line(self, flawed, block):
+    def test_a_flaw_among_documented_lines_is_reported_at_its_line(self, flawed, error, block):
         before = 2 if block == "first" else reviews._BLOCK // len(_DOCUMENTED) + 2
         text = "\n".join([_DOCUMENTED] * before + [flawed, _DOCUMENTED]) + "\n"
         assert (text.index(flawed) > reviews._BLOCK) is (block == "second")
         result = _outcome(parse_records_jsonl, text)
         assert result[0] is RecordParseError and result[2] == before + 1
+        assert result[1].startswith(f"line {before + 1}: {error}")
         assert result == _outcome(reference_parse_records_jsonl, text)
 
     @given(_JSONL_TEXT)
@@ -528,10 +541,12 @@ _REVIEW_RECORD = st.builds(
     submitter=st.sampled_from(["sam", "kim", ""]),
     reviewer=st.sampled_from(["r1", "r2", "r3"]),
     comment=st.sampled_from(["ok", "Revert this", "nit: fix"]),
-    # Few distinct instants, so that cases hold timestamp ties.
-    timestamp=st.sampled_from([0, 30, 60, 7200]).map(lambda s: _T0 + timedelta(seconds=s)),
-    thread_id=st.sampled_from([None, "t1", "t2"]),
-    topic=st.sampled_from([None, "perf"]),
+    # Few distinct instants, so that cases hold timestamp ties, and a second
+    # commit session that a third record joins.
+    timestamp=st.sampled_from([0, 30, 60, 7200, 7230]).map(lambda s: _T0 + timedelta(seconds=s)),
+    # An empty key is no key.
+    thread_id=st.sampled_from([None, "", "t1", "t2"]),
+    topic=st.sampled_from([None, "", "perf"]),
 )
 _STRATEGY = st.one_of(
     st.builds(ByArtifact),
@@ -565,6 +580,13 @@ _COMMENTED_RECORD = st.builds(
 
 class TestBuildLog:
     @given(st.lists(_REVIEW_RECORD, max_size=8), _STRATEGY, _VERB_MAP)
+    @example([ReviewRecord("X", "sam", "r1", "ok", _T0, thread_id="")], ByThread(), None)
+    @example([ReviewRecord("X", "sam", "r1", "ok", _T0, topic="")], ByTopic(), None)
+    @example(
+        [ReviewRecord("X", "sam", "r1", "ok", _T0 + timedelta(seconds=s)) for s in (0, 7200, 7230)],
+        ByCommit(timedelta(seconds=30)),
+        None,
+    )
     def test_matches_reference(self, records, strategy, verb_map):
         assert _outcome(build_log, records, strategy, verb_map) == _outcome(
             reference_build_log, records, strategy, verb_map

@@ -181,6 +181,8 @@ class TestBuildLog:
         assert ByThread().label == "thread"
         assert ByTopic().label == "topic"
         assert ByCommit(timedelta(minutes=30)).label == "commit:1800s"
+        with pytest.raises(ValueError, match="^commit session window must be non-negative$"):
+            ByCommit(timedelta(seconds=-1))
 
     def test_every_record_becomes_one_event(self):
         rng = random.Random(11)
