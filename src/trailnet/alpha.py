@@ -61,20 +61,6 @@ class AlphaIntermediates:
         return _downward_closure(self.y_w)
 
 
-def initial_tasks(log: EventLog) -> frozenset[str]:
-    """First activity of each trace."""
-    if not log.variants:
-        raise ValueError("empty log has no initial tasks")
-    return frozenset(seq[0] for seq in log.variants)
-
-
-def final_tasks(log: EventLog) -> frozenset[str]:
-    """Last activity of each trace."""
-    if not log.variants:
-        raise ValueError("empty log has no final tasks")
-    return frozenset(seq[-1] for seq in log.variants)
-
-
 def _direct_maximal_pairs(matrix: FootprintMatrix) -> frozenset[CandidatePair]:
     """Y_W straight from the matrix, as maximal cliques of the pair graph.
 
@@ -211,8 +197,8 @@ def alpha(
     t_w = log.alphabet
     if len(t_w) > alphabet_limit:
         raise AlphabetLimitError(len(t_w), alphabet_limit)
-    t_i = initial_tasks(log)
-    t_o = final_tasks(log)
+    t_i = frozenset(seq[0] for seq in log.variants)
+    t_o = frozenset(seq[-1] for seq in log.variants)
     y_w = _direct_maximal_pairs(footprint(log))
 
     pairs = {place_name(a_side, b_side): (a_side, b_side) for a_side, b_side in y_w}

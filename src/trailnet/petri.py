@@ -181,8 +181,7 @@ def _token_game(indexed: _IndexedNet, trace: tuple[str, ...]) -> tuple[int, int]
     return missing, sum(marking)
 
 
-_FINAL = 0  # the id of the final marking {sink: 1} in generate_traces
-_SPAN = None  # the state of a stack entry that closes a subtree in generate_traces
+_SPAN = None  # the marking of a stack entry that closes a subtree in generate_traces
 
 
 def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> TraceGenerationResult:
@@ -203,9 +202,9 @@ def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> Trace
     therefore the lexicographically smallest complete ones.
 
     The net is compiled to place indices once per net object. Markings
-    are tuples of token counts over the sorted places, and each distinct
-    marking gets a small int id the first time the search reaches it and
-    computes its successors, as ``(transition, child id)`` pairs, once.
+    are tuples of token counts over the sorted places, and the search
+    computes each distinct marking's successors, as ``(transition, child
+    marking)`` pairs, once, in a table keyed by the marking.
     The complete suffixes below a marking depend only on that marking and
     on the length left, so each (marking, depth) pair is expanded once:
     the first visit records the slice of the found sequences its subtree
@@ -218,50 +217,40 @@ def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> Trace
     if max_length < 0 or max_traces < 0:
         raise ValueError("bounds must be non-negative")
     indexed = net._indexed
-    start = [0] * len(indexed.places)
-    final = start.copy()
-    start[indexed.source] = 1
-    final[indexed.sink] = 1
-    markings = [tuple(final), tuple(start)]  # id -> marking; _FINAL is 0
-    ids = {marking: i for i, marking in enumerate(markings)}
-    successors: list[list[tuple[str, int]] | None] = [None, None]  # id -> children once known
+    places = range(len(indexed.places))
+    start = tuple(int(p == indexed.source) for p in places)
+    final = tuple(int(p == indexed.sink) for p in places)
     found: list[tuple[str, ...]] = []
     complete = True
-    # (state id, depth) -> (first, last), the slice of found below its first
-    # visit; recorded by an entry (_SPAN, (key, first)) pushed under its children.
-    spans: dict[tuple[int, int], tuple[int, int]] = {}
-    stack: list[tuple] = [(1, ())]
+    # marking -> (children, spans): its successors, and depth -> (first, last),
+    # the slice of found below its first visit at that depth, recorded by an
+    # entry (_SPAN, (spans, depth, first)) pushed under its children.
+    nodes: dict[tuple[int, ...], tuple[list, dict]] = {}
+    stack: list[tuple] = [(start, ())]
     push = stack.append
     while stack:
-        state, sequence = stack.pop()
-        if state == _FINAL:
+        marking, sequence = stack.pop()
+        if marking is _SPAN:
+            spans, depth, first = sequence
+            spans[depth] = (first, len(found))
+            continue
+        if marking == final:
             if len(found) >= max_traces:
                 complete = False
                 break
             found.append(sequence)
             continue
-        if state is _SPAN:
-            key, first = sequence
-            spans[key] = (first, len(found))
-            continue
-        children = successors[state]
-        if children is None:
-            children = successors[state] = []
-            for transition, child in _successors(markings[state], indexed.arcs_of):
-                child_id = ids.get(child)
-                if child_id is None:
-                    child_id = ids[child] = len(markings)
-                    markings.append(child)
-                    successors.append(None)
-                children.append((transition, child_id))
+        node = nodes.get(marking)
+        if node is None:
+            node = nodes[marking] = (_successors(marking, indexed.arcs_of), {})
+        children, spans = node
         if not children:
             continue
         depth = len(sequence)
         if depth >= max_length:
             complete = False
             continue
-        key = (state, depth)
-        span = spans.get(key)
+        span = spans.get(depth)
         if span is not None:
             first, last = span
             room = max_traces - len(found)
@@ -270,7 +259,7 @@ def generate_traces(net: WorkflowNet, max_length: int, max_traces: int) -> Trace
                 complete = False
                 break
             continue
-        push((_SPAN, (key, len(found))))
+        push((_SPAN, (spans, depth, len(found))))
         for t, child in children:
             push((child, sequence + (t,)))
     return TraceGenerationResult(tuple(found), complete)

@@ -66,17 +66,13 @@ class FootprintMatrix:
             raise KeyError(f"unknown activity {unknown!r}") from None
 
 
-def direct_succession(log: EventLog) -> frozenset[tuple[str, str]]:
-    """All pairs (a, b) where b immediately follows a in some trace."""
+def footprint(log: EventLog) -> FootprintMatrix:
+    """The footprint of the log: its sorted alphabet and every pair (a, b) where
+    b directly follows a in some trace."""
     pairs = set()
     for seq in log.variants:
         pairs.update(zip(seq, seq[1:]))
-    return frozenset(pairs)
-
-
-def footprint(log: EventLog) -> FootprintMatrix:
-    """The footprint of the log over its sorted alphabet."""
-    return FootprintMatrix(tuple(sorted(log.alphabet)), direct_succession(log))
+    return FootprintMatrix(tuple(sorted(log.alphabet)), frozenset(pairs))
 
 
 def footprint_to_csv(matrix: FootprintMatrix) -> str:

@@ -14,7 +14,7 @@ import trailnet
 from trailnet.alpha import alpha
 from trailnet.eventlog import log_from_sequences, serialize_csv_log
 from trailnet.petri import generate_traces, isomorphic, replay
-from trailnet.relations import Relation, direct_succession, footprint
+from trailnet.relations import Relation, footprint
 from trailnet.reviews import ByArtifact, build_log
 from trailnet.social import handover_of_work, review_relation
 
@@ -40,8 +40,8 @@ def _passed(number: int, detail: str) -> None:
 
 def test_criterion_1_worked_example_relations(sample_log):
     started = time.perf_counter()
-    succ = direct_succession(sample_log)
     matrix = footprint(sample_log)
+    succ = matrix.succession
     causal = {pair for pair, rel in matrix.cells.items() if rel is Relation.CAUSAL_FORWARD}
     elapsed = time.perf_counter() - started
 

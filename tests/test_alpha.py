@@ -17,8 +17,6 @@ from trailnet.alpha import (
     DanglingActivityWarning,
     alpha,
     candidate_pairs,
-    final_tasks,
-    initial_tasks,
     intermediates_to_json,
     maximal_pairs,
     place_name,
@@ -139,24 +137,23 @@ def _complete_bipartite_log(side):
 
 class TestBoundaryTasks:
     def test_sample_log(self, sample_log):
-        assert initial_tasks(sample_log) == {"A"}
-        assert final_tasks(sample_log) == {"D"}
+        intermediates = alpha(sample_log)[1]
+        assert intermediates.t_i == {"A"}
+        assert intermediates.t_o == {"D"}
 
     def test_multiple_heads_and_tails(self):
-        log = log_from_sequences(["AB", "BA"])
-        assert initial_tasks(log) == {"A", "B"}
-        assert final_tasks(log) == {"B", "A"}
+        intermediates = alpha(log_from_sequences(["AB", "BA"]))[1]
+        assert intermediates.t_i == {"A", "B"}
+        assert intermediates.t_o == {"B", "A"}
 
     def test_single_activity(self):
-        log = log_from_sequences(["A"])
-        assert initial_tasks(log) == {"A"}
-        assert final_tasks(log) == {"A"}
+        intermediates = alpha(log_from_sequences(["A"]))[1]
+        assert intermediates.t_i == {"A"}
+        assert intermediates.t_o == {"A"}
 
     def test_empty_log_rejected(self):
-        with pytest.raises(ValueError):
-            initial_tasks(EventLog(()))
-        with pytest.raises(ValueError):
-            final_tasks(EventLog(()))
+        with pytest.raises(ValueError, match="cannot mine an empty log"):
+            alpha(EventLog(()))
 
 
 class TestCandidatePairs:

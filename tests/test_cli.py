@@ -171,6 +171,14 @@ class TestMine:
         assert main(["mine", "--input", str(log_path), "--output", str(tmp_path / "m")]) == 0
         assert "dangles" in _stderr_payload(capsys)["warning"]
 
+    def test_header_only_log_is_io_error(self, tmp_path, capsys):
+        log_path = tmp_path / "empty.csv"
+        log_path.write_text("case_id,activity,originator,timestamp\n", encoding="utf-8")
+        assert main(["mine", "--input", str(log_path), "--output", str(tmp_path / "m")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == '{"code": 1, "error": "cannot mine an empty log"}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.csv"]
 
     @pytest.mark.parametrize(
         "rows",

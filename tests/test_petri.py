@@ -8,6 +8,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from trailnet import petri
 from trailnet.alpha import alpha
 from trailnet.eventlog import log_from_sequences
 from trailnet.petri import (
@@ -393,6 +394,19 @@ class TestReplayMemo:
         assert replay(sample_net, ("A", "E", "D")).fits
 
 
+def _open_markings(net, max_length):
+    """The distinct markings other than the final one that the token game
+    reaches in at most ``max_length`` firings without passing through the
+    final marking, breadth first."""
+    final = {net.sink: 1}
+    level, reached = [initial_marking(net)], set()
+    for _ in range(max_length + 1):
+        level = {frozenset(m.items()): m for m in level if m != final}
+        reached.update(level)
+        level = [fire(net, m, t) for m in level.values() for t in enabled(net, m)]
+    return reached
+
+
 class TestGenerateTraces:
     def test_sample_net_language(self, sample_net):
         result = generate_traces(sample_net, max_length=10, max_traces=100)
@@ -486,6 +500,24 @@ class TestGenerateTraces:
         result = generate_traces(two_depth_net(), max_length=2, max_traces=100)
         assert result == TraceGenerationResult((("a", "d"),), False)
         assert result == reference_generate_traces(two_depth_net(), 2, 100)
+
+    @pytest.mark.parametrize(
+        "net, max_length, calls",
+        [(and_split_net(4), 6, 17), (looping_net(), 5, 2)],
+        ids=["and-split-4", "looping"],
+    )
+    def test_successors_computed_once_per_marking(self, monkeypatch, net, max_length, calls):
+        seen = []
+        successors = petri._successors
+
+        def counting(marking, arcs_of):
+            seen.append(marking)
+            return successors(marking, arcs_of)
+
+        monkeypatch.setattr(petri, "_successors", counting)
+        generate_traces(net, max_length, 10**6)
+        assert len(seen) == len(set(seen)) == calls
+        assert calls == len(_open_markings(net, max_length))
 
     @settings(deadline=None, max_examples=50)
     @given(_random_nets, st.integers(0, 5))

@@ -10,7 +10,6 @@ from trailnet.eventlog import EventLog, log_from_sequences
 from trailnet.relations import (
     FootprintMatrix,
     Relation,
-    direct_succession,
     footprint,
     footprint_to_csv,
 )
@@ -47,13 +46,13 @@ _small_logs = st.lists(
 
 class TestDirectSuccession:
     def test_sample_log(self, sample_log):
-        assert direct_succession(sample_log) == SAMPLE_SUCCESSIONS
+        assert footprint(sample_log).succession == SAMPLE_SUCCESSIONS
 
     def test_single_event_trace_has_no_pairs(self):
-        assert direct_succession(log_from_sequences(["A"])) == frozenset()
+        assert footprint(log_from_sequences(["A"])).succession == frozenset()
 
     def test_repetition_yields_self_pair(self):
-        assert direct_succession(log_from_sequences(["AA"])) == {("A", "A")}
+        assert footprint(log_from_sequences(["AA"])).succession == {("A", "A")}
 
 
 class TestFootprint:
