@@ -4,10 +4,12 @@ One subcommand per pipeline stage so every artifact stays independently
 inspectable. Each subcommand is declared once, in :func:`build_parser`,
 which binds it to a handler; :func:`_check_args` then validates and
 converts what argparse cannot, before any input is read, and the
-handler turns the input text into its outputs. Errors land on stderr as
-a single JSON line; exit codes are 0 success, 1 I/O or parse failure,
-2 invalid configuration, 3 alphabet limit exceeded. An input may start
-with a UTF-8 byte-order mark, which is dropped before it is read.
+handler turns the input text into its outputs without printing. Only
+:func:`_run` writes to stderr: a failure, one JSON error line; a success,
+its warnings as JSON lines. Exit codes are 0 success, 1 I/O or parse
+failure or ``out of memory``, 2 invalid configuration, 3 alphabet limit
+exceeded. An input may start with a UTF-8 byte-order mark, which is
+dropped before it is read.
 :func:`main` pauses Python's cyclic garbage collector while a subcommand
 runs, since what it builds holds no cycles and the cyclic garbage it
 leaves has a fixed size, and restores the caller's setting on every
@@ -54,26 +56,17 @@ EXIT_ALPHABET = 3
 
 ALPHABET_LIMIT_ENV = "TRAILNET_ALPHABET_LIMIT"
 
-_STRATEGIES = {
-    "artifact": ByArtifact,
-    "thread": ByThread,
-    "topic": ByTopic,
-    "commit": ByCommit,
-}
+# ByCommit takes its window from --commit-window, so _check_args builds it apart.
+_STRATEGIES = {strategy.label: strategy for strategy in (ByArtifact, ByThread, ByTopic)}
 
 
 class ConfigError(Exception):
     """The requested run configuration is invalid."""
 
 
-def _emit_error(code: int, message: str) -> None:
-    print(json.dumps({"code": code, "error": message}), file=sys.stderr)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one machine-readable line instead of usage text
-        _emit_error(EXIT_CONFIG, message)
-        raise SystemExit(EXIT_CONFIG)
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("build-log", _cmd_build_log, "review records (JSONL) -> event-log CSV + metadata")
-    p.add_argument("--strategy", required=True, choices=sorted(_STRATEGIES))
+    p.add_argument("--strategy", required=True, choices=sorted([*_STRATEGIES, "commit"]))
     p.add_argument(
         "--commit-window",
         type=int,
@@ -183,12 +176,7 @@ def _cmd_footprint(args: argparse.Namespace, text: str) -> dict[str, str]:
 
 
 def _cmd_mine(args: argparse.Namespace, text: str) -> dict[str, str]:
-    log = parse_csv_log(text)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        net, intermediates = alpha(log, alphabet_limit=args.alphabet_limit)
-    for warning in caught:
-        print(json.dumps({"warning": str(warning.message)}), file=sys.stderr)
+    net, intermediates = alpha(parse_csv_log(text), alphabet_limit=args.alphabet_limit)
     return {
         ".net.json": to_json(net),
         ".net.dot": to_dot(net),
@@ -262,26 +250,33 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(argv: Sequence[str] | None) -> int:
-    """Run one subcommand, mapping each failure to one JSON line and an exit code."""
+    """Run one subcommand: a failure prints one JSON error line, a success the
+    handler's warnings once its outputs are written."""
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         _check_args(args)
         if not args.input.is_file():
             raise FileNotFoundError(f"input not found: {args.input}")
-        _write(args.output, args.handler(args, args.input.read_bytes().decode("utf-8-sig")))
-    except ConfigError as exc:
-        _emit_error(EXIT_CONFIG, str(exc))
-        return EXIT_CONFIG
-    except AlphabetLimitError as exc:
-        _emit_error(EXIT_ALPHABET, str(exc))
-        return EXIT_ALPHABET
-    except (OSError, ValueError) as exc:
-        _emit_error(EXIT_IO, str(exc))
-        return EXIT_IO
-    return EXIT_OK
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            texts = args.handler(args, args.input.read_bytes().decode("utf-8-sig"))
+        _write(args.output, texts)
+    except SystemExit:  # only --help leaves argparse this way, after printing the usage
+        return EXIT_OK
+    except (ConfigError, AlphabetLimitError, OSError, ValueError, MemoryError) as exc:
+        # Without its traceback, and the exception it was raised while handling,
+        # the failure keeps none of the failed frames alive once the clause ends:
+        # after a MemoryError, that frees the room to print the error line.
+        exc.__traceback__ = exc.__context__ = None
+        failure = exc
+    else:
+        for warning in caught:
+            print(json.dumps({"warning": str(warning.message)}), file=sys.stderr)
+        return EXIT_OK
+    code = {ConfigError: EXIT_CONFIG, AlphabetLimitError: EXIT_ALPHABET}.get(type(failure), EXIT_IO)
+    message = "out of memory" if isinstance(failure, MemoryError) else str(failure)
+    print(json.dumps({"code": code, "error": message}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

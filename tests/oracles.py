@@ -18,7 +18,7 @@ from collections import Counter
 from datetime import datetime, timezone
 from typing import Mapping
 
-from trailnet.eventlog import CSV_HEADER, EventLog, LogError, LogParseError, Trace, _csv_text, format_timestamp
+from trailnet.eventlog import CSV_HEADER, EventLog, LogError, LogParseError, Trace
 from trailnet.petri import ReplayResult, TraceGenerationResult, WorkflowNet
 from trailnet.relations import FootprintMatrix, Relation
 from trailnet.reviews import (
@@ -299,29 +299,36 @@ def reference_parse_csv_log(source) -> EventLog:
     return EventLog(tuple(traces))
 
 
+def _stamp_text(stamp: datetime) -> str:
+    """A UTC instant in the interchange format."""
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % (
+        stamp.year, stamp.month, stamp.day, stamp.hour, stamp.minute, stamp.second
+    )
+
+
 def reference_serialize_csv_log(log: EventLog) -> str:
-    """The writer with one csv-writer row per event; its csv-module path
-    (``_csv_text``) is the one the column writer falls back to."""
+    """The writer with one csv-writer row per event. Each row is written with
+    a ``\r\n`` end, which makes the writer quote a field holding ``\n`` or
+    ``\r`` on every Python version, and that end is then cut back to ``\n``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    lines = []
 
-    def rows():
-        yield CSV_HEADER
+    def write(row):
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(row)
+        lines.append(buffer.getvalue()[:-2] + "\n")
+
+    try:
+        write(CSV_HEADER)
         for trace in log.traces:
-            case_id, originators, stamps = trace.case_id, trace.originators, trace.timestamps
-            i = 0
-            for activity in trace.activities:
-                stamp = stamps[i]
+            for activity, originator, stamp in zip(trace.activities, trace.originators, trace.timestamps):
                 # The writer writes None as an empty field.
-                yield (
-                    case_id,
-                    activity,
-                    originators[i],
-                    stamp
-                    and "%04d-%02d-%02dT%02d:%02d:%02dZ"
-                    % (stamp.year, stamp.month, stamp.day, stamp.hour, stamp.minute, stamp.second),
-                )
-                i += 1
-
-    return _csv_text(rows())
+                write((trace.case_id, activity, originator, stamp and _stamp_text(stamp)))
+    except csv.Error as exc:  # Python 3.10 cannot write a field holding NUL
+        raise LogError(f"cannot write CSV: {exc}") from None
+    return "".join(lines)
 
 
 _REQUIRED_FIELDS = ("artifact_id", "submitter", "reviewer", "comment", "timestamp")
@@ -395,7 +402,7 @@ def _reference_cases(records, strategy) -> dict[str, list[ReviewRecord]]:
     for record in sorted(records, key=lambda r: r.timestamp):  # stable
         case_id, previous = last.get(record.submitter, (None, None))
         if case_id is None or record.timestamp - previous > strategy.window:
-            case_id = f"{record.submitter}@{format_timestamp(record.timestamp)}"
+            case_id = f"{record.submitter}@{_stamp_text(record.timestamp)}"
             cases[case_id] = []
         cases[case_id].append(record)
         last[record.submitter] = case_id, record.timestamp

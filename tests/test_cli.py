@@ -49,6 +49,25 @@ RECORDS_JSONL = "\n".join(
     ]
 ) + "\n"
 
+# x comes between a and b in both orders, so it has no causal partner: mine warns
+# that its transition dangles.
+DANGLING_X_CSV = "case_id,activity,originator,timestamp\n1,a,,\n1,x,,\n1,b,,\n2,b,,\n2,x,,\n2,a,,\n"
+
+
+def _dead_join_net(k):
+    """The JSON of a net where a splits into k branches b0.. whose join z also
+    needs the place dead, which nothing marks: the net has no complete trace,
+    and the search keeps every marking it meets, 2**k + 1 of them."""
+    arcs = [("i", "a"), ("dead", "z"), ("z", "o")]
+    for j in range(k):
+        arcs += [("a", f"p{j}"), (f"p{j}", f"b{j}"), (f"b{j}", f"q{j}"), (f"q{j}", "z")]
+    places = {"i", "o", "dead", *(f"{side}{j}" for side in "pq" for j in range(k))}
+    return to_json(WorkflowNet(places, {"a", "z", *(f"b{j}" for j in range(k))}, arcs, "i", "o"))
+
+
+def _out_of_memory(args, text):
+    raise MemoryError()
+
 
 @pytest.fixture
 def sample_csv_path(tmp_path):
@@ -162,14 +181,12 @@ class TestMine:
     def test_dangling_activity_warning_as_json_line(self, tmp_path, capsys):
         # initiator || responder with responder mid-trace: no causal pairs
         log_path = tmp_path / "odd.csv"
-        log_path.write_text(
-            "case_id,activity,originator,timestamp\n"
-            "1,a,,\n1,x,,\n1,b,,\n"
-            "2,b,,\n2,x,,\n2,a,,\n",
-            encoding="utf-8",
-        )
+        log_path.write_text(DANGLING_X_CSV, encoding="utf-8")
         assert main(["mine", "--input", str(log_path), "--output", str(tmp_path / "m")]) == 0
-        assert "dangles" in _stderr_payload(capsys)["warning"]
+        assert capsys.readouterr().err == (
+            '{"warning": "activity \'x\' has no causal partners and is neither initial nor final; '
+            'its transition dangles"}\n'
+        )
 
     def test_header_only_log_is_io_error(self, tmp_path, capsys):
         log_path = tmp_path / "empty.csv"
@@ -685,6 +702,24 @@ class TestErrors:
         assert not Path(prefix + ".net.json").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "out.net.dot"]
 
+    def test_failed_write_after_a_warning_prints_only_the_error(self, tmp_path, capsys):
+        # mine warns that x dangles, then a directory blocks out.net.dot: a failed
+        # run prints its error line and none of its warnings.
+        log_path = tmp_path / "odd.csv"
+        log_path.write_text(DANGLING_X_CSV, encoding="utf-8")
+        blocked = tmp_path / "out.net.dot"
+        blocked.mkdir()
+        assert main(["mine", "--input", str(log_path), "--output", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == json.dumps({"code": 1, "error": f"[Errno 21] Is a directory: {str(blocked)!r}"}) + "\n"
+
+    def test_exhausted_memory_is_one_error_line(self, tmp_path, sample_csv_path, monkeypatch, capsys):
+        monkeypatch.setattr("trailnet.cli._cmd_simulate", _out_of_memory)
+        assert main(["simulate", "--input", str(sample_csv_path), "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", '{"code": 1, "error": "out of memory"}\n')
+        assert list(tmp_path.iterdir()) == [sample_csv_path]
+
     def test_nul_in_a_name_exits_or_reports_one_line(self, tmp_path, capsys):
         # Python 3.10's csv.writer cannot write a NUL; 3.11 on writes it bare.
         path = tmp_path / "records.jsonl"
@@ -733,12 +768,15 @@ class TestCollectorPause:
             (["simulate", "--input", "{csv}", "--max-length", "-1"], None, 2),
             (["mine", "--input", "{csv}"], "1", 3),
             (["footprint", "--input", "{csv}", "--bogus"], None, 2),
+            (["simulate", "--input", "{csv}"], None, 1),
         ],
-        ids=["ok", "io-error", "config-error", "alphabet-limit", "argparse-error"],
+        ids=["ok", "io-error", "config-error", "alphabet-limit", "argparse-error", "out-of-memory"],
     )
     def test_setting_restored_on_every_exit_code(
         self, tmp_path, sample_csv_path, monkeypatch, collector, argv, limit, code
     ):
+        # Of these runs only the out-of-memory one reaches simulate's handler.
+        monkeypatch.setattr("trailnet.cli._cmd_simulate", _out_of_memory)
         if limit is not None:
             monkeypatch.setenv("TRAILNET_ALPHABET_LIMIT", limit)
         argv = [a.format(csv=sample_csv_path, absent=tmp_path / "absent.csv") for a in argv]
@@ -974,7 +1012,8 @@ _INPUTS = st.one_of(
 
 
 class TestContractFuzz:
-    """Every subcommand exits 0 or prints one JSON error line whose code is the exit code."""
+    """Every subcommand exits 0 and prints only warning lines, or prints one JSON
+    error line whose code is the exit code."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -993,6 +1032,8 @@ class TestContractFuzz:
     @given(data=_INPUTS, window=st.integers(min_value=0))
     @example(data=b'{"places": ' + b"[" * 100_000, window=0)
     @example(data=b'{"nodes": ["a", "b"], "edges": [["a", "b", 1], ["a", "b", 2]]}', window=0)
+    @example(data=DANGLING_X_CSV.encode(), window=0)
+    @example(data=_dead_join_net(4).encode(), window=0)
     def test_exit_code_or_one_json_error_line(self, argv, data, window):
         if argv[-1] == "commit":
             argv = argv + [f"--commit-window={window}"]
@@ -1003,9 +1044,12 @@ class TestContractFuzz:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv + ["--input", str(source), "--output", str(Path(tmp, "out"))])
         assert gc.isenabled()
-        if code == 0:
-            return
         lines = err.getvalue().splitlines()
+        if code == 0:
+            for line in lines:
+                warning = json.loads(line)
+                assert list(warning) == ["warning"] and isinstance(warning["warning"], str), line
+            return
         assert len(lines) == 1, lines
         assert json.loads(lines[0])["code"] == code
         assert code in (1, 2, 3)
@@ -1022,3 +1066,20 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert out.exists()
         assert str(out) in proc.stdout
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps the address space on Linux")
+    def test_exhausted_memory_is_one_error_line(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        net = tmp_path / "dead-join.net.json"
+        net.write_text(_dead_join_net(20), encoding="utf-8")
+        out = tmp_path / "traces.json"
+        # Within the default bounds the search meets about 432 000 markings, more
+        # than a 400 MiB address space holds. The cap binds the child only.
+        proc = subprocess.run(
+            [sys.executable, "-m", "trailnet.cli", "simulate", "--input", str(net), "--output", str(out)],
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (400 << 20,) * 2),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", '{"code": 1, "error": "out of memory"}\n')
+        assert not out.exists()
