@@ -13,11 +13,10 @@ import itertools
 import json
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .eventlog import EventLog
+from .eventlog import EventLog, _Value
 from .relations import FootprintMatrix, footprint
 from .petri import WorkflowNet
 
@@ -43,14 +42,19 @@ class DanglingActivityWarning(UserWarning):
     """An activity ended up with no arcs in the mined net."""
 
 
-@dataclass(frozen=True)
-class AlphaIntermediates:
+class AlphaIntermediates(_Value):
     """Every intermediate set of the miner, exposed for inspection."""
 
-    t_w: frozenset[str]
-    t_i: frozenset[str]
-    t_o: frozenset[str]
-    y_w: frozenset[CandidatePair]
+    __match_args__ = ("t_w", "t_i", "t_o", "y_w")
+
+    def __init__(
+        self,
+        t_w: frozenset[str],
+        t_i: frozenset[str],
+        t_o: frozenset[str],
+        y_w: frozenset[CandidatePair],
+    ):
+        self._set(t_w, t_i, t_o, y_w)
 
     @cached_property
     def x_w(self) -> frozenset[CandidatePair]:

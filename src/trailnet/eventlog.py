@@ -16,7 +16,6 @@ import io
 import re
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, islice, repeat
@@ -87,8 +86,46 @@ def _normalize_timestamp(instant: datetime) -> datetime:
     return instant
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
+class _Value:
+    """The base of the immutable value types. Their fields are the names in
+    ``__match_args__``, which ``__init__`` sets once through :meth:`_set`.
+    Equality, hashing, repr, copying and pickling follow the field values,
+    as for a frozen dataclass; assigning or deleting raises AttributeError."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        """The field values, in order: what equality, hashing, repr and pickling read."""
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__match_args__, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Trace(_Value):
     """One case: its id and its events as three equal-length columns.
 
     An activity is non-empty; an originator is a non-empty name or None.
@@ -96,18 +133,20 @@ class Trace:
     sequence) or none does; ordering then comes from the input.
     """
 
-    case_id: str
-    activities: tuple[str, ...]
-    originators: tuple[str | None, ...]
-    timestamps: tuple[datetime | None, ...]
+    __slots__ = __match_args__ = ("case_id", "activities", "originators", "timestamps")
 
-    def __post_init__(self):
-        case_id = self.case_id
+    def __init__(
+        self,
+        case_id: str,
+        activities: tuple[str, ...],
+        originators: tuple[str | None, ...],
+        timestamps: tuple[datetime | None, ...],
+    ):
         if not case_id:
             raise LogError("trace has empty case_id")
-        activities = tuple(self.activities)
-        originators = tuple(o or None for o in self.originators)
-        timestamps = list(self.timestamps)
+        activities = tuple(activities)
+        originators = tuple(o or None for o in originators)
+        timestamps = list(timestamps)
         if not len(activities) == len(originators) == len(timestamps):
             raise LogError(f"case {case_id!r} has columns of unequal length")
         if not activities:
@@ -123,9 +162,7 @@ class Trace:
                 stamp = timestamps[i] = _normalize_timestamp(stamp)
                 if i and stamp < timestamps[i - 1]:
                     raise LogError(f"case {case_id!r} events are not in timestamp order")
-        object.__setattr__(self, "activities", activities)
-        object.__setattr__(self, "originators", originators)
-        object.__setattr__(self, "timestamps", tuple(timestamps))
+        self._set(case_id, activities, originators, tuple(timestamps))
 
 
 def _trace(
@@ -152,14 +189,13 @@ _set_originators = Trace.originators.__set__
 _set_timestamps = Trace.timestamps.__set__
 
 
-@dataclass(frozen=True)
-class EventLog:
+class EventLog(_Value):
     """An ordered collection of traces with unique case ids."""
 
-    traces: tuple[Trace, ...]
+    __match_args__ = ("traces",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "traces", tuple(self.traces))
+    def __init__(self, traces: tuple[Trace, ...]):
+        self._set(tuple(traces))
         seen: set[str] = set()
         for trace in self.traces:
             if trace.case_id in seen:

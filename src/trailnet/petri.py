@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
+
+from .eventlog import _Value
 
 
 class NetStructureError(ValueError):
@@ -31,20 +32,21 @@ class _IndexedNet(NamedTuple):
     sink: int
 
 
-@dataclass(frozen=True)
-class WorkflowNet:
+class WorkflowNet(_Value):
     """Immutable workflow net: bipartite arcs between places and transitions."""
 
-    places: frozenset[str]
-    transitions: frozenset[str]
-    arcs: frozenset[tuple[str, str]]
-    source: str
-    sink: str
+    __match_args__ = ("places", "transitions", "arcs", "source", "sink")
 
-    def __post_init__(self):
-        object.__setattr__(self, "places", frozenset(self.places))
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
-        object.__setattr__(self, "arcs", frozenset(tuple(a) for a in self.arcs))
+    def __init__(
+        self,
+        places: frozenset[str],
+        transitions: frozenset[str],
+        arcs: frozenset[tuple[str, str]],
+        source: str,
+        sink: str,
+    ):
+        arcs = frozenset(tuple(a) for a in arcs)
+        self._set(frozenset(places), frozenset(transitions), arcs, source, sink)
         overlap = self.places & self.transitions
         if overlap:
             raise NetStructureError(f"names used as both place and transition: {sorted(overlap)}")
@@ -104,25 +106,26 @@ class WorkflowNet:
         return self._neighbours[1][node]
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(_Value):
     """Outcome of replaying one trace from the initial marking."""
 
-    fits: bool
-    consumed_missing: int
-    produced_remaining: int
+    __match_args__ = ("fits", "consumed_missing", "produced_remaining")
+
+    def __init__(self, fits: bool, consumed_missing: int, produced_remaining: int):
+        self._set(fits, consumed_missing, produced_remaining)
 
 
-@dataclass(frozen=True)
-class TraceGenerationResult:
+class TraceGenerationResult(_Value):
     """Trace language up to bounds; ``complete`` means the search was exhaustive.
 
     ``traces`` holds each complete firing sequence once, in increasing
     lexicographic order.
     """
 
-    traces: tuple[tuple[str, ...], ...]
-    complete: bool
+    __match_args__ = ("traces", "complete")
+
+    def __init__(self, traces: tuple[tuple[str, ...], ...], complete: bool):
+        self._set(traces, complete)
 
 
 def replay(net: WorkflowNet, trace: Sequence[str]) -> ReplayResult:

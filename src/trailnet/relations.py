@@ -10,12 +10,11 @@ succession pairs and reads every relation off them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .eventlog import EventLog, _csv_text
+from .eventlog import EventLog, _Value, _csv_text
 
 
 class Relation(enum.Enum):
@@ -36,15 +35,13 @@ _RELATION = {
 }
 
 
-@dataclass(frozen=True)
-class FootprintMatrix:
+class FootprintMatrix(_Value):
     """An alphabet and its direct-succession pairs; relations are read off the pairs."""
 
-    alphabet: tuple[str, ...]
-    succession: frozenset[tuple[str, str]]
+    __match_args__ = ("alphabet", "succession")
 
-    def __post_init__(self):
-        object.__setattr__(self, "succession", frozenset(self.succession))
+    def __init__(self, alphabet: tuple[str, ...], succession: frozenset[tuple[str, str]]):
+        self._set(tuple(alphabet), frozenset(succession))
         names = set(self.alphabet)
         for a, b in self.succession:
             if a not in names or b not in names:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import count, repeat
 from operator import attrgetter, itemgetter
@@ -20,6 +19,7 @@ from .eventlog import (
     EventLog,
     LogError,
     _TIMESTAMP,
+    _Value,
     format_timestamp,
     parse_timestamp,
     _event_log,
@@ -44,27 +44,32 @@ class RecordParseError(RecordError):
 DEFAULT_VERB = "review"
 
 
-@dataclass(frozen=True, slots=True)
-class ReviewRecord:
+class ReviewRecord(_Value):
     """One review comment on a submitted artifact."""
 
-    artifact_id: str
-    submitter: str
-    reviewer: str
-    comment: str
-    timestamp: datetime
-    thread_id: str | None = None
-    topic: str | None = None
+    __slots__ = __match_args__ = (
+        "artifact_id", "submitter", "reviewer", "comment", "timestamp", "thread_id", "topic"
+    )
 
-    def __post_init__(self):
-        if not self.artifact_id:
+    def __init__(
+        self,
+        artifact_id: str,
+        submitter: str,
+        reviewer: str,
+        comment: str,
+        timestamp: datetime,
+        thread_id: str | None = None,
+        topic: str | None = None,
+    ):
+        if not artifact_id:
             raise RecordError("record has empty artifact_id")
-        if not self.reviewer:
+        if not reviewer:
             raise RecordError("record has empty reviewer")
         try:
-            object.__setattr__(self, "timestamp", _normalize_timestamp(self.timestamp))
+            timestamp = _normalize_timestamp(timestamp)
         except LogError as exc:
             raise RecordError(str(exc)) from None
+        self._set(artifact_id, submitter, reviewer, comment, timestamp, thread_id, topic)
 
 
 def _record(
@@ -100,41 +105,38 @@ _set_thread_id = ReviewRecord.thread_id.__set__
 _set_topic = ReviewRecord.topic.__set__
 
 
-@dataclass(frozen=True)
-class ByArtifact:
+class ByArtifact(_Value):
     """One case per reviewed artifact."""
 
     label = "artifact"
     key = "artifact_id"
 
 
-@dataclass(frozen=True)
-class ByThread:
+class ByThread(_Value):
     """One case per discussion thread."""
 
     label = "thread"
     key = "thread_id"
 
 
-@dataclass(frozen=True)
-class ByTopic:
+class ByTopic(_Value):
     """One case per topic / subject line."""
 
     label = "topic"
     key = "topic"
 
 
-@dataclass(frozen=True)
-class ByCommit:
+class ByCommit(_Value):
     """One case per submitter activity session.
 
     A submitter's records sorted by time form a new case whenever the gap
     to the previous record exceeds ``window``.
     """
 
-    window: timedelta
+    __match_args__ = ("window",)
 
-    def __post_init__(self):
+    def __init__(self, window: timedelta):
+        self._set(window)
         if self.window < timedelta(0):
             raise ValueError("commit session window must be non-negative")
 
@@ -146,14 +148,19 @@ class ByCommit:
 CaseStrategy = ByArtifact | ByThread | ByTopic | ByCommit
 
 
-@dataclass(frozen=True)
-class TraceLog:
+class TraceLog(_Value):
     """A role-tagged event log plus the provenance that produced it."""
 
-    log: EventLog
-    strategy: str
-    record_count: int
-    window: tuple[datetime, datetime] | None = None
+    __match_args__ = ("log", "strategy", "record_count", "window")
+
+    def __init__(
+        self,
+        log: EventLog,
+        strategy: str,
+        record_count: int,
+        window: tuple[datetime, datetime] | None = None,
+    ):
+        self._set(log, strategy, record_count, window)
 
 
 def time_window_filter(

@@ -9,31 +9,32 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .eventlog import EventLog, LogError
+from .eventlog import EventLog, LogError, _Value
 from .petri import _is_string_list, _json_value, _quote
 from .reviews import ReviewRecord
 
 
-@dataclass(frozen=True)
-class SocialGraph:
-    """Weighted directed graph over person names."""
+class SocialGraph(_Value):
+    """Weighted directed graph over person names; ``edges`` is read-only."""
 
-    nodes: frozenset[str]
-    edges: Mapping[tuple[str, str], int]
+    __match_args__ = ("nodes", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "edges", dict(self.edges))
+    def __init__(self, nodes: frozenset[str], edges: Mapping[tuple[str, str], int]):
+        self._set(frozenset(nodes), MappingProxyType(dict(edges)))
         for (tail, head), weight in self.edges.items():
             if weight <= 0:
                 raise ValueError(f"edge {tail!r}->{head!r} has non-positive weight {weight}")
             if tail not in self.nodes or head not in self.nodes:
                 raise ValueError(f"edge {tail!r}->{head!r} has endpoint outside nodes")
+
+    def _values(self) -> tuple:
+        # The edges as a plain dict: one that pickle and deepcopy take, and that repr shows.
+        return self.nodes, dict(self.edges)
 
 
 def handover_of_work(log: EventLog) -> SocialGraph:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import trailnet
 
 PUBLIC_NAMES = [
@@ -58,3 +63,24 @@ def test_public_names():
     assert sorted(trailnet.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(trailnet, name) is not None
+
+
+def test_import_loads_no_class_building_machinery():
+    """Every CLI call first imports the package: that import loads all of
+    its modules, and neither dataclasses nor inspect, which cost more to
+    import than the modules themselves."""
+    probe = (
+        "import sys, trailnet, trailnet.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules"
+        " if m.startswith('trailnet') or m in ('dataclasses', 'inspect'))))"
+    )
+    src = Path(trailnet.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout.split() == [
+        "trailnet",
+        *(f"trailnet.{m}" for m in ("alpha", "cli", "eventlog", "petri", "relations", "reviews", "social")),
+    ]

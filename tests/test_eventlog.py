@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import csv
 import json
+import pickle
 import sys
 from datetime import datetime, timedelta, timezone
 
@@ -202,6 +204,13 @@ class TestInvariants:
         trace = Trace("c", ["a", "b"], iter(["x", ""]), [None, None])
         assert trace == unstamped("c", ("a", "b"), ("x", None))
         assert type(trace.activities) is type(trace.originators) is type(trace.timestamps) is tuple
+
+    def test_values_take_no_other_attribute(self, sample_log):
+        # A slotted Trace and an EventLog, which has a __dict__ for its cached views.
+        for value in (one_event(), sample_log):
+            with pytest.raises(AttributeError):
+                value.other = 1
+            assert not hasattr(value, "other")
 
     def test_empty_originator_normalizes_to_none(self):
         assert one_event(originator="").originators == (None,)
@@ -429,6 +438,12 @@ class TestViews:
 
     def test_variants_computed_once_per_log(self, sample_log):
         assert sample_log.variants is sample_log.variants
+
+    def test_log_copies_after_its_views_are_read(self, sample_log):
+        assert sample_log.variants and sample_log.alphabet
+        for copied in (copy.deepcopy(sample_log), pickle.loads(pickle.dumps(sample_log))):
+            assert copied == sample_log
+            assert copied.variants == sample_log.variants
 
     def test_variants_are_read_only(self):
         log = log_from_sequences(["AB"])

@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -389,7 +388,7 @@ class TestReplayMemo:
 
     def test_results_stay_frozen(self, sample_net):
         result = replay(sample_net, ("A", "E", "D"))
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             result.fits = False
         assert replay(sample_net, ("A", "E", "D")).fits
 

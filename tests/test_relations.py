@@ -129,6 +129,11 @@ class TestMatrixValidation:
         with pytest.raises(ValueError, match="outside the alphabet"):
             FootprintMatrix(("A", "B"), frozenset({("A", "C")}))
 
+    def test_alphabet_stored_as_tuple(self):
+        matrix = FootprintMatrix(["A", "B"], [("A", "B")])
+        assert matrix == FootprintMatrix(("A", "B"), frozenset({("A", "B")}))
+        assert footprint_to_csv(matrix) == ",A,B\nA,#,->\nB,<-,#\n"
+
     def test_mirror_symmetry_enforced(self):
         matrix = FootprintMatrix(("A", "B"), {("A", "B")})
         assert matrix.relation("A", "B") is Relation.CAUSAL_FORWARD

@@ -155,6 +155,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             SocialGraph(frozenset({"a"}), {("a", "b"): 1})
 
+    def test_edges_are_read_only(self):
+        edges = {("a", "b"): 2}
+        graph = SocialGraph({"a", "b"}, edges)
+        with pytest.raises(TypeError):
+            graph.edges[("a", "zed")] = -7
+        edges[("b", "a")] = 1  # the graph keeps its own copy
+        assert graph.edges == {("a", "b"): 2}
+        assert graph_from_json(graph_to_json(graph)) == graph
+
 
 class TestSerialization:
     def test_dot_output(self):
