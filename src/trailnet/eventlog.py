@@ -254,45 +254,56 @@ def _columns(text: str) -> list | None:
     """The columns that :func:`_rows` gives for a quote-free log, split in bulk, or None.
 
     In text without a quote, ``\\r`` or NUL, the csv module reads the fields
-    that splitting at ``\\n`` and ``,`` gives, so each check runs over a
-    whole column. None, for a broken rule, a blank line, no rows or stamped
-    and unstamped rows together, leaves the text to :func:`_rows`."""
+    that splitting at ``\\n`` and ``,`` gives. One split at ``,``, after a
+    ``,`` is put behind each ``\\n``, leaves each line's end on its last field.
+    Every line then has exactly four fields when the text has four fields per
+    line and every fourth field holds a line end; that column, joined, is the
+    stamp column's text. Each check runs over a whole column. The activity and
+    originator columns go through one dict, so that the log holds one string
+    per distinct name, and the field-size limit is checked on those names.
+    None, for a broken rule, a blank line, rows of uneven width, no rows or
+    stamped and unstamped rows together, leaves the text to :func:`_rows`."""
     # A NUL is a csv.Error before Python 3.11 and a character after.
     if '"' in text or "\r" in text or "\0" in text:
         return None
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the final line end
-    if len(lines) < 2 or lines[0] != ",".join(CSV_HEADER) or set(map(str.count, lines, repeat(","))) != {3}:
+    if not text.endswith("\n"):
+        text += "\n"
+    lines = text.count("\n")
+    if lines < 2 or not text.startswith(",".join(CSV_HEADER) + "\n"):
         return None
-    limit = csv.field_size_limit()
-    # A field is no longer than its line: the fields are measured only when a line is too long.
-    long_line = len(text) > limit and max(map(len, lines)) > limit
-    fields = ",".join(lines).split(",")
-    del lines
-    if long_line and max(map(len, fields)) > limit:
+    fields = text.replace("\n", "\n,").split(",")
+    fields.pop()  # the "" after the final line end
+    stamps = "".join(fields[7::4])  # the header's four fields come first
+    if len(fields) != 4 * lines or stamps.count("\n") != lines - 1:
         return None
-    # The header's four fields come first.
+    stamps = stamps[:-1]  # the rows' stamps, joined by "\n"
     case_ids = fields[4::4]
-    activities = tuple(fields[5::4])
-    if not all(case_ids) or not all(activities):  # an empty case id or activity
+    if not all(case_ids):  # an empty case id
         return None
+    names: dict[str, str | None] = {}
+    activities = fields[5::4]
+    activities = tuple(map(names.setdefault, activities, activities))
+    if "" in names:  # an empty activity
+        return None
+    names[""] = None  # the originator of an unnamed row
     originators = fields[6::4]
-    originators = tuple(originators if all(originators) else [o or None for o in originators])
-    stamps = fields[7::4]
+    originators = tuple(map(names.setdefault, originators, originators))
     del fields
+    stamped = len(stamps) != lines - 2  # more than the "\n"s between empty stamps
+    # The csv module's field-size limit, over the header, each distinct name,
+    # every case id and a stamp's 20 characters.
+    limit = csv.field_size_limit()
+    if max(map(len, chain(CSV_HEADER, names, case_ids))) > limit or 20 * stamped > limit:
+        return None
     timestamps = None
-    if stamps[0]:
-        joined = "\n".join(stamps)
-        if _STAMP_COLUMN.fullmatch(joined) is None:
+    if stamped:
+        if _STAMP_COLUMN.fullmatch(stamps) is None:
             return None
         try:
-            timestamps = _instants(joined)
+            timestamps = _instants(stamps)
         except ValueError:
             return None
-    elif any(stamps):
-        return None
-    return [case_ids, activities, originators, timestamps, range(2, len(case_ids) + 2)]
+    return [case_ids, activities, originators, timestamps, range(2, lines + 1)]
 
 
 def _rows(text: str) -> list:
@@ -336,17 +347,21 @@ def _log(columns: list) -> EventLog:
     case_ids, activities, originators, timestamps, lines = columns
     columns.clear()  # so that each column is freed once it is used
     n = len(case_ids)
-    cases = Counter(case_ids)  # rows per case, cases in the order of their first rows
+    starts = list(compress(range(n), map(ne, case_ids, chain((None,), case_ids))))  # where the case id changes
+    cases = list(map(case_ids.__getitem__, starts))
     stamped = timestamps is not None
     timestamps = timestamps or (None,) * n
-    if n and sum(map(ne, case_ids, islice(case_ids, 1, None))) >= len(cases):
+    if len(set(cases)) < len(cases):
         # A case's rows are apart, as in a log ordered by time: regroup the rows stably.
+        cases = Counter(case_ids)  # rows per case, cases in the order of their first rows
         case_ids = list(map(dict(zip(cases, count())).__getitem__, case_ids))  # as ranks, in first-row order
         get = itemgetter(*sorted(range(n), key=case_ids.__getitem__))
         activities, originators, timestamps, lines = map(get, (activities, originators, timestamps, lines))
         del get
+        starts = list(accumulate(cases.values(), initial=0))
+    else:
+        starts.append(n)
     del case_ids
-    starts = list(accumulate(cases.values(), initial=0))
     ends = starts[1:]
     unsorted = set()  # the indices of the cases to sort by stamp
     if stamped:

@@ -298,7 +298,10 @@ class TestParseCsvLog:
             pytest.param(HEADER + "\n1,A,,\n\n1,B,,\n", id="blank-line"),
             pytest.param(HEADER + "\n1,A,,,\n", id="extra-field"),
             pytest.param(HEADER + "\n1,A,\n", id="missing-field"),
+            pytest.param(HEADER + "\n1,A,x\n1,B,y,,\n", id="misaligned-rows"),
             pytest.param(HEADER + "\n1,A,,\n1," + "x" * 131_073 + ",,\n", id="overlong-field"),
+            pytest.param(HEADER + "\n1,A,,\n" + "x" * 131_073 + ",B,,\n", id="overlong-case-id"),
+            pytest.param(HEADER + "\n1,A,,\n1,B," + "x" * 131_073 + ",\n", id="overlong-originator"),
             pytest.param(HEADER + "\n,A,,\n", id="empty-case-id"),
             pytest.param(HEADER + "\n1,,,\n", id="empty-activity"),
             pytest.param(HEADER + "\n1,A,,2012-05-03T12:00:00Z\n2,B,,\n", id="mixed-stamps"),
@@ -321,6 +324,7 @@ class TestParseCsvLog:
                 HEADER + "\n1,B,,2012-05-03T12:00:01Z\n2,C,,2012-05-03T11:00:00Z\n1,A,u,2012-05-03T12:00:00Z\n",
                 id="case-rows-apart-and-unsorted",
             ),
+            pytest.param(HEADER + "\n1,A,,\n2,B,u,\n1,C,v,", id="case-rows-apart-no-final-line-end"),
         ],
     )
     def test_columnar_path_accepts(self, text):
@@ -341,13 +345,18 @@ class TestParseCsvLog:
     def test_a_written_log_takes_the_columnar_path(self, built, bom):
         """A log as ``build-log`` and ``export`` write it, after a BOM or not,
         is written and read in bulk, so a silent fall back to the csv module
-        cannot pass."""
+        cannot pass. The log read holds one string per distinct activity or
+        originator name, however many events carry it."""
         text = _bulk_text(built)
         assert text == reference_serialize_csv_log(built)
         text = bom + text
         log = _bulk(text)
         assert log is not None
         _assert_same_log(log, text)
+        activities = [a for trace in log.traces for a in trace.activities]
+        originators = [o for trace in log.traces for o in trace.originators if o is not None]
+        assert len(set(map(id, activities))) == len(log.alphabet)
+        assert len(set(map(id, originators))) == len(set(originators))
         with mock.patch.object(eventlog, "_rows", _refuse):
             assert parse_csv_log(text) == log
 
