@@ -1,15 +1,16 @@
 """Command-line pipeline: review records -> event log -> nets, footprints, graphs.
 
 One subcommand per pipeline stage so every artifact stays independently
-inspectable. Each subcommand is declared once, in :func:`build_parser`,
-which binds it to a handler; :func:`_check_args` then validates and
-converts what argparse cannot, before any input is read, and the
-handler turns the input text into its outputs without printing. Only
-:func:`_run` writes to stderr: a failure, one JSON error line; a success,
-its warnings as JSON lines. Exit codes are 0 success, 1 I/O or parse
-failure or ``out of memory``, 2 invalid configuration, 3 alphabet limit
-exceeded. An input may start with a UTF-8 byte-order mark, which is
-dropped before it is read.
+inspectable. Each subcommand is declared once, in :func:`_commands`. A
+call whose first argument names one builds only that subcommand's parser;
+any other builds the whole parser, whose top level reports what is wrong.
+:func:`_check_args` then validates and converts what argparse cannot,
+before any input is read, and the handler turns the input text into its
+outputs without printing. Only :func:`_run` writes to stderr: a failure,
+one JSON error line; a success, its warnings as JSON lines. Exit codes are
+0 success, 1 I/O or parse failure or ``out of memory``, 2 invalid
+configuration, 3 alphabet limit exceeded. An input may start with a UTF-8
+byte-order mark, which is dropped before it is read.
 :func:`main` pauses Python's cyclic garbage collector while a subcommand
 runs, since what it builds holds no cycles and the cyclic garbage it
 leaves has a fixed size, and restores the caller's setting on every
@@ -69,48 +70,69 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _commands() -> dict:
+    """Each subcommand's handler, summary and options besides --input and --output,
+    read when a parser is built, so the handler is the one the module holds then."""
+    return {
+        "build-log": (_cmd_build_log, "review records (JSONL) -> event-log CSV + metadata", {
+            "--strategy": dict(required=True, choices=sorted([*_STRATEGIES, "commit"])),
+            "--commit-window": dict(
+                type=int, default=86400, metavar="SECONDS",
+                help="session gap for --strategy commit (default 86400)",
+            ),
+            "--from": dict(dest="window_from", metavar="ISO8601", help="window start"),
+            "--to": dict(dest="window_to", metavar="ISO8601", help="window end"),
+        }),
+        "footprint": (_cmd_footprint, "event-log CSV -> footprint CSV", {}),
+        "mine": (_cmd_mine, "event-log CSV -> net JSON + DOT + intermediates JSON", {}),
+        "social": (_cmd_social, "event log or records -> social graph JSON + DOT", {
+            "--relation": dict(
+                required=True,
+                choices=["handover", "review"],
+                help="handover reads an event-log CSV, review reads records JSONL",
+            ),
+        }),
+        "simulate": (_cmd_simulate, "net JSON -> complete trace set JSON", {
+            "--max-length": dict(type=int, default=10),
+            "--max-traces": dict(type=int, default=100),
+        }),
+        "export": (_cmd_export, "re-render an artifact (net/graph JSON, log CSV)", {
+            "--format": dict(required=True, choices=["dot", "json", "csv"]),
+        }),
+    }
+
+
+def _declare(parser: argparse.ArgumentParser, handler, options: dict) -> None:
+    parser.add_argument("--input", required=True, type=Path, help="input file")
+    parser.add_argument("--output", required=True, type=Path, help="output file (or prefix)")
+    for flag, settings in options.items():
+        parser.add_argument(flag, **settings)
+    parser.set_defaults(handler=handler)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser: the top level, with every subcommand's parser under it."""
     parser = _Parser(prog="trailnet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--input", required=True, type=Path, help="input file")
-        p.add_argument("--output", required=True, type=Path, help="output file (or prefix)")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command("build-log", _cmd_build_log, "review records (JSONL) -> event-log CSV + metadata")
-    p.add_argument("--strategy", required=True, choices=sorted([*_STRATEGIES, "commit"]))
-    p.add_argument(
-        "--commit-window",
-        type=int,
-        default=86400,
-        metavar="SECONDS",
-        help="session gap for --strategy commit (default 86400)",
-    )
-    p.add_argument("--from", dest="window_from", metavar="ISO8601", help="window start")
-    p.add_argument("--to", dest="window_to", metavar="ISO8601", help="window end")
-
-    command("footprint", _cmd_footprint, "event-log CSV -> footprint CSV")
-    command("mine", _cmd_mine, "event-log CSV -> net JSON + DOT + intermediates JSON")
-
-    p = command("social", _cmd_social, "event log or records -> social graph JSON + DOT")
-    p.add_argument(
-        "--relation",
-        required=True,
-        choices=["handover", "review"],
-        help="handover reads an event-log CSV, review reads records JSONL",
-    )
-
-    p = command("simulate", _cmd_simulate, "net JSON -> complete trace set JSON")
-    p.add_argument("--max-length", type=int, default=10)
-    p.add_argument("--max-traces", type=int, default=100)
-
-    p = command("export", _cmd_export, "re-render an artifact (net/graph JSON, log CSV)")
-    p.add_argument("--format", required=True, choices=["dot", "json", "csv"])
-
+    for name, (handler, summary, options) in _commands().items():
+        _declare(sub.add_parser(name, help=summary), handler, options)
     return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name`` alone, as the whole parser holds it."""
+    handler, _, options = _commands()[name]
+    parser = _Parser(prog=f"trailnet {name}")
+    parser.set_defaults(command=name)
+    _declare(parser, handler, options)
+    return parser
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """Only a call that names no subcommand first needs the top level's usage and errors."""
+    if argv and argv[0] in _commands():
+        return _command_parser(argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
 
 
 def _check_args(args: argparse.Namespace) -> None:
@@ -253,7 +275,7 @@ def _run(argv: Sequence[str] | None) -> int:
     """Run one subcommand: a failure prints one JSON error line, a success the
     handler's warnings once its outputs are written."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         _check_args(args)
         if not args.input.is_file():
             raise FileNotFoundError(f"input not found: {args.input}")

@@ -276,7 +276,9 @@ def _successors(
     children in this order pops the lexicographically smallest one first."""
     children = []
     for transition, (consumed, produced) in reversed(arcs_of.items()):
-        if all(marking[p] for p in consumed):
+        # A map, not a generator: closing a generator that all() left suspended
+        # allocates, and near a memory cap that fails where no handler catches it.
+        if all(map(marking.__getitem__, consumed)):
             child = list(marking)
             for p in consumed:
                 child[p] -= 1

@@ -301,7 +301,8 @@ def parse_records_jsonl(text: str) -> list[ReviewRecord]:
     records = []
     # Lines end at \r\n, \r or \n only; str.splitlines would also split at
     # U+2028 and the other separators that a JSON string may hold unescaped.
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     line_no = 1
     start = 0
     while start <= len(text):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import io
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from trailnet import cli
 from trailnet.alpha import alpha, intermediates_to_json
 from trailnet.cli import main
 from trailnet.eventlog import format_timestamp, parse_csv_log, serialize_csv_log
@@ -746,6 +748,102 @@ class TestErrors:
 
     def test_missing_subcommand_is_config_error(self, capsys):
         assert main([]) == 2
+
+
+COMMANDS = ["build-log", "footprint", "mine", "social", "simulate", "export"]
+
+# Arguments that only some subcommands' parsers reject, beyond those every one rejects.
+_BAD_OPTIONS = {
+    "build-log": [["--strategy", "nope"], ["--commit-window", "x"], ["--commit-win", "1.5"]],
+    "social": [["--relation", "nope"]],
+    "simulate": [["--max-length", "x"], ["--max-traces", "-"], ["--max-l", "3", "--max-t"]],
+    "export": [["--format", "nope"], ["--form"]],
+}
+
+
+@pytest.fixture
+def good_argvs(tmp_path, sample_csv_path, records_path):
+    """Each subcommand with arguments it runs on: its input file, then its output."""
+    net = tmp_path / "net.json"
+    net.write_text(to_json(alpha(parse_csv_log(SAMPLE_CSV))[0]), encoding="utf-8")
+    out = str(tmp_path / "out")
+    return {
+        "build-log": ["build-log", "--input", str(records_path), "--output", out, "--strategy", "artifact"],
+        "footprint": ["footprint", "--input", str(sample_csv_path), "--output", out],
+        "mine": ["mine", "--input", str(sample_csv_path), "--output", out],
+        "social": ["social", "--input", str(records_path), "--output", out, "--relation", "review"],
+        "simulate": ["simulate", "--input", str(net), "--output", out, "--max-length", "6"],
+        "export": ["export", "--input", str(net), "--output", out, "--format", "dot"],
+    }
+
+
+class TestParserShapes:
+    """A call whose first argument names a subcommand builds only that subcommand's
+    parser; the whole parser stays the reference for what it prints and returns."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The parsers that main builds, counted as they are constructed."""
+        built = []
+        construct = cli._Parser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            construct(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_a_subcommand_builds_one_parser(self, name, good_argvs, built, capsys):
+        assert main(good_argvs[name]) == 0
+        assert len(built) == 1
+        assert main(good_argvs[name] + ["-h"]) == 0
+        assert len(built) == 2
+        assert capsys.readouterr().out.count(f"usage: trailnet {name} ") == 1
+
+    @pytest.mark.parametrize("argv, code", [([], 2), (["-h"], 0), (["bogus"], 2)], ids=repr)
+    def test_no_subcommand_builds_the_whole_parser(self, argv, code, built, capsys):
+        assert main(argv) == code
+        assert len(built) == 7
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_own_help_is_the_whole_parsers(self, name, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert cli._command_parser(name).format_help() == subparsers.choices[name].format_help()
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_each_argv_gives_what_the_whole_parser_gives(self, name, good_argvs, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        good = good_argvs[name]
+        source, rest = good[2], good[3:]
+        corpus = [
+            good,
+            [name, "--inp", source, *rest],
+            [name, f"--input={source}", *rest],
+            [name, "--", "--input", source, *rest],
+            [*good, "--", "extra"],
+            [*good, "-h"],
+            [*good, "--he"],
+            [name, *rest],
+            [*good, "--bogus"],
+            [*good, "extra"],
+            [*good, "--output"],
+            *([*good, *bad] for bad in _BAD_OPTIONS.get(name, [])),
+        ]
+
+        def outcome(argv):
+            for written in tmp_path.glob("out*"):
+                written.unlink()
+            code = main(argv)
+            out, err = capsys.readouterr()
+            return code, out, err, {p.name: p.read_bytes() for p in sorted(tmp_path.glob("out*"))}
+
+        own = [outcome(argv) for argv in corpus]
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+        assert [outcome(argv) for argv in corpus] == own
+        assert own[0][0] == 0 and own[0][3]
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
